@@ -1,0 +1,189 @@
+"""Exhaustive enumeration of submodules, ideals and multiplicative sets,
+plus lattice-level searches (maximal members, decompositions,
+counterexample hunts)."""
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, field
+
+from .errors import SizeBoundError
+from .modules import (
+    FiniteModule,
+    Submodule,
+    full_submodule,
+    indices_of,
+    intersect_submodules,
+    span_mask,
+)
+from .predicates import PROPERTY_CHECKS, PropertyReport
+
+DEFAULT_LATTICE_BOUND = 2048
+_BOUND_ENV = "ABSORB_LATTICE_BOUND"
+
+
+def _lattice_bound() -> int:
+    raw = os.environ.get(_BOUND_ENV)
+    return int(raw) if raw else DEFAULT_LATTICE_BOUND
+
+
+@dataclass
+class SubmoduleLattice:
+    module: FiniteModule
+    members: list[Submodule]
+
+    @property
+    def proper(self) -> list[Submodule]:
+        return [N for N in self.members if N.is_proper]
+
+    def filter_by(self, prop: str, **kwargs) -> list[Submodule]:
+        check = PROPERTY_CHECKS[prop]
+        return [N for N in self.proper if check(N, **kwargs).holds]
+
+    def maximal_members(self, members=None) -> list[Submodule]:
+        """Members of the given collection not strictly below another one."""
+        pool = list(self.proper if members is None else members)
+        return [
+            N
+            for N in pool
+            if not any(N is not P and N.mask & ~P.mask == 0 and N.mask != P.mask for P in pool)
+        ]
+
+
+def all_submodules(M: FiniteModule, bound: int | None = None) -> SubmoduleLattice:
+    """Every submodule of M: every submodule is a join of cyclic ones, so we
+    close the set of cyclic submodules under join-with-a-cyclic.  Raises
+    SizeBoundError when the count exceeds the bound (default 2048, env
+    ABSORB_LATTICE_BOUND)."""
+    limit = _lattice_bound() if bound is None else bound
+    cached = getattr(M, "_lattice_cache", None)
+    if cached is not None and cached[0] >= limit:
+        return cached[1]
+    add = M.add
+    # Rx is already closed under addition (rx + sx = (r+s)x), so cyclic
+    # submodule masks come straight from the scalar orbit of x.
+    cyclic = sorted({_orbit_mask(M, x) for x in range(M.order)})
+    seen = set(cyclic)
+    if len(seen) > limit:
+        raise SizeBoundError(f"{M.name}: more than {limit} submodules; raise {_BOUND_ENV}")
+    frontier = list(cyclic)
+    while frontier:
+        base = frontier.pop()
+        belems = indices_of(base)
+        for c in cyclic:
+            if c & ~base == 0:
+                continue
+            joined = 0
+            for i in belems:
+                for j in indices_of(c):
+                    joined |= 1 << add(i, j)
+            if joined not in seen:
+                seen.add(joined)
+                frontier.append(joined)
+                if len(seen) > limit:
+                    raise SizeBoundError(
+                        f"{M.name}: more than {limit} submodules; raise {_BOUND_ENV}"
+                    )
+    members = [Submodule(M, indices_of(m), _trusted=True) for m in sorted(seen)]
+    members.sort(key=lambda N: (N.order, N.indices))
+    result = SubmoduleLattice(M, members)
+    M._lattice_cache = (limit, result)
+    return result
+
+
+def _orbit_mask(M: FiniteModule, x: int) -> int:
+    out = 0
+    for r in range(M.ring.order):
+        out |= 1 << M.act(r, x)
+    return out
+
+
+def all_ideals(R, bound: int | None = None) -> SubmoduleLattice:
+    return all_submodules(R.as_module, bound)
+
+
+def all_multiplicative_sets(R) -> list:
+    """Every multiplicatively closed subset of R containing 1, as
+    MultiplicativeSet objects; found by BFS over generator extensions."""
+    from .constructions import MultiplicativeSet
+
+    base = MultiplicativeSet(R, [])
+    seen = {base.indices: base}
+    frontier = [base]
+    while frontier:
+        S = frontier.pop()
+        for g in range(R.order):
+            if g in S.indices:
+                continue
+            T = MultiplicativeSet(R, list(S.indices) + [g])
+            if T.indices not in seen:
+                seen[T.indices] = T
+                frontier.append(T)
+    return [seen[k] for k in sorted(seen)]
+
+
+@dataclass(frozen=True)
+class DecompositionReport:
+    submodule: Submodule
+    holds: bool
+    factors: tuple = ()
+
+
+def decomposition_check(N: Submodule, lattice: SubmoduleLattice | None = None) -> DecompositionReport:
+    """Whether N is an intersection of (one or more) gsdf-absorbing
+    submodules; the factors of one such decomposition are reported."""
+    from .predicates import is_gsdf_absorbing
+
+    M = N.module
+    if lattice is None:
+        lattice = all_submodules(M)
+    if not N.is_proper:
+        return DecompositionReport(N, True, (N,))
+    gsdf = [P for P in lattice.proper if N.mask & ~P.mask == 0 and is_gsdf_absorbing(P).holds]
+    mask = (1 << M.order) - 1
+    for P in gsdf:
+        mask &= P.mask
+    if mask == N.mask:
+        # trim to an irredundant factor list, largest factors first
+        factors = []
+        cur = (1 << M.order) - 1
+        for P in sorted(gsdf, key=lambda q: -q.order):
+            if cur & ~P.mask:
+                factors.append(P)
+                cur &= P.mask
+            if cur == N.mask:
+                break
+        return DecompositionReport(N, True, tuple(factors))
+    return DecompositionReport(N, False)
+
+
+@dataclass
+class FamilySpec:
+    """A named generator of (module, lattice) pairs used by the suites."""
+
+    name: str
+    builder: object  # zero-arg callable yielding FiniteModule instances
+
+    def modules(self):
+        return self.builder()
+
+
+@dataclass(frozen=True)
+class CounterexampleHit:
+    module: FiniteModule
+    submodule: Submodule
+    report: PropertyReport
+
+
+def search_counterexample(prop: str, modules, *, want_holds: bool = False,
+                          predicate=None) -> CounterexampleHit | None:
+    """First (module, proper submodule) in the family whose property verdict
+    is ``want_holds``; an optional extra predicate filters submodules."""
+    check = PROPERTY_CHECKS[prop]
+    for M in modules:
+        for N in all_submodules(M).proper:
+            if predicate is not None and not predicate(N):
+                continue
+            rep = check(N)
+            if rep.holds == want_holds:
+                return CounterexampleHit(M, N, rep)
+    return None

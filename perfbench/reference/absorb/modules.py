@@ -1,0 +1,857 @@
+"""Finite unital modules over a FiniteRing, and their submodules.
+
+The same canonical-index regime as for rings applies: a module element is an
+index ``0 .. order-1`` and every constructor fixes a deterministic encoding.
+Submodule carriers are kept both as sorted index tuples and as bit masks
+(one bit per element index), which is what the predicate scanners consume.
+"""
+from __future__ import annotations
+
+import random
+
+from .errors import (
+    CrossStructureError,
+    InvalidConstructionError,
+    InvalidOrderError,
+    NotProperError,
+)
+from .rings import TABULATE_BOUND, FiniteRing, RingElt, RingHom, ZMod
+
+ACTION_EXHAUSTIVE_COST = 60000
+ACTION_SAMPLE_COUNT = 1000
+_SAMPLE_SEED = 0xB0B
+
+
+def mask_of(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def indices_of(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+class FiniteModule:
+    """Base class for finite unital modules."""
+
+    ring: FiniteRing
+    order: int
+    name: str
+    zero: int
+
+    def add(self, i: int, j: int) -> int:
+        raise NotImplementedError
+
+    def neg(self, i: int) -> int:
+        raise NotImplementedError
+
+    def act(self, r: int, x: int) -> int:
+        raise NotImplementedError
+
+    def sub(self, i: int, j: int) -> int:
+        return self.add(i, self.neg(j))
+
+    def describe(self, x: int) -> str:
+        raise NotImplementedError
+
+    def literal_to_index(self, lit) -> int:
+        raise NotImplementedError
+
+    @property
+    def signature(self):
+        raise NotImplementedError
+
+    def _finalize(self) -> None:
+        if self.order < 1:
+            raise InvalidOrderError(f"{self.name}: empty carrier")
+        # a ring acting on itself reuses the verified ring operations
+        if not getattr(self, "_trusted_ops", False):
+            self._tabulate()
+            self._check_axioms()
+
+    def _tabulate(self) -> None:
+        """Swap the structural add/act/neg for table lookups when the module
+        is small; scanners call these millions of times."""
+        nr, nm = self.ring.order, self.order
+        if nm * (nm + nr) > TABULATE_BOUND:
+            return
+        add, act, neg = self.add, self.act, self.neg
+        add_t = [[add(i, j) for j in range(nm)] for i in range(nm)]
+        act_t = [[act(r, x) for x in range(nm)] for r in range(nr)]
+        neg_t = [neg(i) for i in range(nm)]
+        self.add = lambda i, j, _t=add_t: _t[i][j]
+        self.act = lambda r, x, _t=act_t: _t[r][x]
+        self.neg = lambda i, _t=neg_t: _t[i]
+        self.sub = lambda i, j, _a=add_t, _n=neg_t: _a[i][_n[j]]
+
+    def _check_axioms(self) -> None:
+        nr, nm = self.ring.order, self.order
+        if nr * nr * nm + nr * nm * nm <= ACTION_EXHAUSTIVE_COST:
+            scalar_triples = (
+                (r, s, x) for r in range(nr) for s in range(nr) for x in range(nm)
+            )
+            elt_triples = (
+                (r, x, y) for r in range(nr) for x in range(nm) for y in range(nm)
+            )
+        else:
+            rng = random.Random(_SAMPLE_SEED)
+            scalar_triples = (
+                (rng.randrange(nr), rng.randrange(nr), rng.randrange(nm))
+                for _ in range(ACTION_SAMPLE_COUNT)
+            )
+            rng2 = random.Random(_SAMPLE_SEED + 1)
+            elt_triples = (
+                (rng2.randrange(nr), rng2.randrange(nm), rng2.randrange(nm))
+                for _ in range(ACTION_SAMPLE_COUNT)
+            )
+        R, add, act = self.ring, self.add, self.act
+        for r, s, x in scalar_triples:
+            if act(R.add(r, s), x) != add(act(r, x), act(s, x)):
+                raise InvalidConstructionError(f"{self.name}: (r+s)x axiom fails")
+            if act(R.mul(r, s), x) != act(r, act(s, x)):
+                raise InvalidConstructionError(f"{self.name}: (rs)x axiom fails")
+        for r, x, y in elt_triples:
+            if act(r, add(x, y)) != add(act(r, x), act(r, y)):
+                raise InvalidConstructionError(f"{self.name}: r(x+y) axiom fails")
+            if add(x, y) != add(y, x):
+                raise InvalidConstructionError(f"{self.name}: + not commutative")
+        for x in range(nm):
+            if act(R.one, x) != x:
+                raise InvalidConstructionError(f"{self.name}: 1x = x fails")
+            if add(x, self.neg(x)) != self.zero:
+                raise InvalidConstructionError(f"{self.name}: bad negation")
+
+    def elt(self, i: int) -> "ModElt":
+        if not 0 <= i < self.order:
+            raise CrossStructureError(f"index {i} out of range for {self.name}")
+        return ModElt(self, i)
+
+    def elements(self):
+        return (ModElt(self, i) for i in range(self.order))
+
+    def same_module(self, other: "FiniteModule") -> bool:
+        return self is other or self.signature == other.signature
+
+    def scalar_hit_masks(self, target_mask: int) -> list[int]:
+        """For each scalar t, the bit mask of {x : t.x lands in target_mask}."""
+        act = self.act
+        nm = self.order
+        rows = []
+        for t in range(self.ring.order):
+            m = 0
+            for x in range(nm):
+                if target_mask >> act(t, x) & 1:
+                    m |= 1 << x
+            rows.append(m)
+        return rows
+
+    def __repr__(self):
+        return f"<module {self.name} over {self.ring.name} order={self.order}>"
+
+
+class ModElt:
+    __slots__ = ("module", "index")
+
+    def __init__(self, module: FiniteModule, index: int):
+        self.module = module
+        self.index = index
+
+    def _peer(self, other) -> int:
+        if not isinstance(other, ModElt) or not self.module.same_module(other.module):
+            raise CrossStructureError("elements belong to different modules")
+        return other.index
+
+    def __add__(self, other):
+        return ModElt(self.module, self.module.add(self.index, self._peer(other)))
+
+    def __sub__(self, other):
+        return ModElt(self.module, self.module.sub(self.index, self._peer(other)))
+
+    def __neg__(self):
+        return ModElt(self.module, self.module.neg(self.index))
+
+    def __rmul__(self, scalar):
+        if not isinstance(scalar, RingElt) or not scalar.ring.same_ring(self.module.ring):
+            raise CrossStructureError("scalar is not in the acting ring")
+        return ModElt(self.module, self.module.act(scalar.index, self.index))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ModElt)
+            and self.module.same_module(other.module)
+            and self.index == other.index
+        )
+
+    def __hash__(self):
+        return hash((self.module.signature, self.index))
+
+    def __repr__(self):
+        return self.module.describe(self.index)
+
+
+class RingAsModule(FiniteModule):
+    """A ring viewed as a module over itself (the home of ideals)."""
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+        self.order = ring.order
+        self.name = f"{ring.name} (as module)"
+        self.zero = ring.zero
+        self.add = ring.add
+        self.neg = ring.neg
+        self.act = ring.mul
+        self._trusted_ops = True
+        self._finalize()
+
+    def describe(self, x):
+        return self.ring.describe(x)
+
+    def literal_to_index(self, lit):
+        return self.ring.literal_to_index(lit)
+
+    @property
+    def signature(self):
+        return ("self", self.ring.signature)
+
+
+class CyclicModule(FiniteModule):
+    """Z_d with the induced Z_n action (requires d | n)."""
+
+    def __init__(self, ring: ZMod, d: int):
+        if not isinstance(ring, ZMod):
+            raise InvalidConstructionError("cyclic modules are defined over Z_n rings")
+        if d < 1 or ring.n % d != 0:
+            raise InvalidConstructionError(
+                f"Z_{d} is not a Z_{ring.n}-module ({d} does not divide {ring.n})"
+            )
+        self.ring = ring
+        self.d = d
+        self.order = d
+        self.name = f"Z{d}"
+        self.zero = 0
+        self._finalize()
+
+    def add(self, i, j):
+        return (i + j) % self.d
+
+    def neg(self, i):
+        return -i % self.d
+
+    def act(self, r, x):
+        return (r * x) % self.d
+
+    def describe(self, x):
+        return str(x)
+
+    def literal_to_index(self, lit):
+        if not isinstance(lit, int):
+            raise InvalidConstructionError(f"{self.name}: element literal must be an integer")
+        return lit % self.d
+
+    @property
+    def signature(self):
+        return ("cyclic", self.ring.signature, self.d)
+
+
+class ProductModule(FiniteModule):
+    """M1 x M2 over one common ring, diagonal action."""
+
+    def __init__(self, m1: FiniteModule, m2: FiniteModule):
+        if not m1.ring.same_ring(m2.ring):
+            raise CrossStructureError("same-ring product needs identical acting rings")
+        self.m1 = m1
+        self.m2 = m2
+        self._ro = m2.order
+        self.ring = m1.ring
+        self.order = m1.order * m2.order
+        self.name = f"({m1.name} x {m2.name})"
+        self.zero = m1.zero * self._ro + m2.zero
+        self._finalize()
+
+    def pack(self, a, b):
+        return a * self._ro + b
+
+    def parts(self, i):
+        return divmod(i, self._ro)
+
+    def add(self, i, j):
+        a1, b1 = divmod(i, self._ro)
+        a2, b2 = divmod(j, self._ro)
+        return self.m1.add(a1, a2) * self._ro + self.m2.add(b1, b2)
+
+    def neg(self, i):
+        a, b = divmod(i, self._ro)
+        return self.m1.neg(a) * self._ro + self.m2.neg(b)
+
+    def act(self, r, x):
+        a, b = divmod(x, self._ro)
+        return self.m1.act(r, a) * self._ro + self.m2.act(r, b)
+
+    def describe(self, x):
+        a, b = divmod(x, self._ro)
+        return f"({self.m1.describe(a)},{self.m2.describe(b)})"
+
+    def literal_to_index(self, lit):
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        return self.pack(
+            self.m1.literal_to_index(lit[0]), self.m2.literal_to_index(lit[1])
+        )
+
+    @property
+    def signature(self):
+        return ("prodmod", self.m1.signature, self.m2.signature)
+
+
+class ProductOverProductRing(FiniteModule):
+    """M1 x M2 acted on componentwise by R1 x R2."""
+
+    def __init__(self, m1: FiniteModule, m2: FiniteModule, prod_ring):
+        from .rings import ProductRing
+
+        if not isinstance(prod_ring, ProductRing):
+            raise CrossStructureError("need a product ring to act componentwise")
+        if not (
+            prod_ring.left.same_ring(m1.ring) and prod_ring.right.same_ring(m2.ring)
+        ):
+            raise CrossStructureError("module factors do not match the ring factors")
+        self.m1 = m1
+        self.m2 = m2
+        self._ro = m2.order
+        self.ring = prod_ring
+        self.order = m1.order * m2.order
+        self.name = f"({m1.name} x {m2.name})"
+        self.zero = m1.zero * self._ro + m2.zero
+        self._finalize()
+
+    def pack(self, a, b):
+        return a * self._ro + b
+
+    def parts(self, i):
+        return divmod(i, self._ro)
+
+    def add(self, i, j):
+        a1, b1 = divmod(i, self._ro)
+        a2, b2 = divmod(j, self._ro)
+        return self.m1.add(a1, a2) * self._ro + self.m2.add(b1, b2)
+
+    def neg(self, i):
+        a, b = divmod(i, self._ro)
+        return self.m1.neg(a) * self._ro + self.m2.neg(b)
+
+    def act(self, r, x):
+        r1, r2 = self.ring.parts(r)
+        a, b = divmod(x, self._ro)
+        return self.m1.act(r1, a) * self._ro + self.m2.act(r2, b)
+
+    def describe(self, x):
+        a, b = divmod(x, self._ro)
+        return f"({self.m1.describe(a)},{self.m2.describe(b)})"
+
+    def literal_to_index(self, lit):
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        return self.pack(
+            self.m1.literal_to_index(lit[0]), self.m2.literal_to_index(lit[1])
+        )
+
+    @property
+    def signature(self):
+        return ("prodmod2", self.m1.signature, self.m2.signature)
+
+
+class QuotientModule(FiniteModule):
+    """base / kernel, cosets indexed by rank of least representative."""
+
+    def __init__(self, base: FiniteModule, kernel: "Submodule"):
+        if not kernel.module.same_module(base):
+            raise CrossStructureError("kernel is not a submodule of the base module")
+        self.base = base
+        self.ring = base.ring
+        proj = [-1] * base.order
+        reps: list[int] = []
+        for a in range(base.order):
+            if proj[a] >= 0:
+                continue
+            coset = sorted(base.add(a, i) for i in kernel.indices)
+            rank = len(reps)
+            reps.append(coset[0])
+            for c in coset:
+                proj[c] = rank
+        self._reps = reps
+        self._proj = proj
+        self._kernel_indices = kernel.indices
+        self.order = len(reps)
+        self.name = f"{base.name}/K"
+        self.zero = proj[base.zero]
+        self._finalize()
+
+    def project(self, base_index: int) -> int:
+        return self._proj[base_index]
+
+    def representative(self, i: int) -> int:
+        return self._reps[i]
+
+    def add(self, i, j):
+        return self._proj[self.base.add(self._reps[i], self._reps[j])]
+
+    def neg(self, i):
+        return self._proj[self.base.neg(self._reps[i])]
+
+    def act(self, r, x):
+        return self._proj[self.base.act(r, self._reps[x])]
+
+    def describe(self, x):
+        return f"[{self.base.describe(self._reps[x])}]"
+
+    def literal_to_index(self, lit):
+        return self._proj[self.base.literal_to_index(lit)]
+
+    @property
+    def signature(self):
+        return ("quotmod", self.base.signature, self._kernel_indices)
+
+
+class SubcarrierModule(FiniteModule):
+    """A submodule carrier promoted to a module in its own right (used for
+    IM, localized carriers and similar); same acting ring as the base."""
+
+    def __init__(self, base: FiniteModule, carrier, name=None):
+        self.base = base
+        self.ring = base.ring
+        self.carrier = sorted(carrier)
+        self._pos = {c: k for k, c in enumerate(self.carrier)}
+        self.order = len(self.carrier)
+        self.name = name or f"sub({base.name},{self.order})"
+        self.zero = self._pos[base.zero]
+        self._finalize()
+
+    def from_base(self, base_index: int) -> int:
+        return self._pos[base_index]
+
+    def to_base(self, i: int) -> int:
+        return self.carrier[i]
+
+    def add(self, i, j):
+        return self._pos[self.base.add(self.carrier[i], self.carrier[j])]
+
+    def neg(self, i):
+        return self._pos[self.base.neg(self.carrier[i])]
+
+    def act(self, r, x):
+        return self._pos[self.base.act(r, self.carrier[x])]
+
+    def describe(self, x):
+        return self.base.describe(self.carrier[x])
+
+    def literal_to_index(self, lit):
+        return self._pos[self.base.literal_to_index(lit)]
+
+    @property
+    def signature(self):
+        return ("subcarrier", self.base.signature, tuple(self.carrier))
+
+
+class ScalarRestriction(FiniteModule):
+    """An R2-module viewed as an R1-module via a hom f: R1 -> R2; shares the
+    base module's element indices."""
+
+    def __init__(self, base: FiniteModule, hom: RingHom):
+        if not hom.codomain.same_ring(base.ring):
+            raise CrossStructureError("hom codomain must be the module's ring")
+        self.base = base
+        self.hom = hom
+        self.ring = hom.domain
+        self.order = base.order
+        self.name = f"{base.name} via {hom.name}"
+        self.zero = base.zero
+        self.add = base.add
+        self.neg = base.neg
+        self._finalize()
+
+    def act(self, r, x):
+        return self.base.act(self.hom(r), x)
+
+    def describe(self, x):
+        return self.base.describe(x)
+
+    def literal_to_index(self, lit):
+        return self.base.literal_to_index(lit)
+
+    @property
+    def signature(self):
+        return ("restricted", self.base.signature, tuple(self.hom.table))
+
+
+class RestrictedModule(SubcarrierModule):
+    """e*M over the idempotent subring e*R (finite localization carrier)."""
+
+    def __init__(self, base: FiniteModule, subring):
+        from .rings import SubringOnIdempotent
+
+        if not isinstance(subring, SubringOnIdempotent):
+            raise InvalidConstructionError("restricted modules live over e*R subrings")
+        if not subring.base.same_ring(base.ring):
+            raise CrossStructureError("idempotent comes from a different ring")
+        e = subring.e
+        carrier = sorted({base.act(e, x) for x in range(base.order)})
+        self.subring = subring
+        self._e = e
+        # bypass SubcarrierModule.__init__ ring choice
+        self.base = base
+        self.ring = subring
+        self.carrier = carrier
+        self._pos = {c: k for k, c in enumerate(carrier)}
+        self.order = len(carrier)
+        self.name = f"{base.ring.describe(e)}*{base.name}"
+        self.zero = self._pos[base.zero]
+        self._finalize()
+
+    def act(self, r, x):
+        return self._pos[self.base.act(self.subring.carrier[r], self.carrier[x])]
+
+    @property
+    def signature(self):
+        return ("localized", self.base.signature, self._e)
+
+
+class Submodule:
+    """A finite carrier subset closed under addition, negation and scalar
+    action, with a lazily computed greedy minimal generator list."""
+
+    __slots__ = ("module", "indices", "mask", "_generators")
+
+    def __init__(self, module: FiniteModule, indices, *, _trusted: bool = False):
+        indices = tuple(sorted(set(indices)))
+        self.module = module
+        self.indices = indices
+        self.mask = mask_of(indices)
+        self._generators = None
+        if not _trusted:
+            self._validate()
+
+    def _validate(self) -> None:
+        M, mask = self.module, self.mask
+        if not mask >> M.zero & 1:
+            raise InvalidConstructionError("submodule must contain 0")
+        for a in self.indices:
+            if not mask >> M.neg(a) & 1:
+                raise InvalidConstructionError("carrier not closed under negation")
+            for b in self.indices:
+                if not mask >> M.add(a, b) & 1:
+                    raise InvalidConstructionError("carrier not closed under addition")
+            for r in range(M.ring.order):
+                if not mask >> M.act(r, a) & 1:
+                    raise InvalidConstructionError("carrier not closed under scalars")
+
+    @property
+    def order(self) -> int:
+        return len(self.indices)
+
+    def contains(self, i: int) -> bool:
+        return bool(self.mask >> i & 1)
+
+    def contains_elt(self, x: ModElt) -> bool:
+        if not x.module.same_module(self.module):
+            raise CrossStructureError("element from a different module")
+        return self.contains(x.index)
+
+    @property
+    def is_proper(self) -> bool:
+        return self.order < self.module.order
+
+    @property
+    def is_zero(self) -> bool:
+        return self.order == 1
+
+    def require_proper(self) -> None:
+        if not self.is_proper:
+            raise NotProperError(f"submodule equals all of {self.module.name}")
+
+    def is_ideal_carrier(self) -> bool:
+        return isinstance(self.module, RingAsModule)
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy minimal generating list, in canonical index order."""
+        if self._generators is None:
+            gens: list[int] = []
+            cur = span_mask(self.module, ())
+            for i in self.indices:
+                if not cur >> i & 1:
+                    gens.append(i)
+                    cur = span_mask(self.module, gens)
+            self._generators = tuple(gens)
+        return self._generators
+
+    def describe(self) -> str:
+        gens = ",".join(self.module.describe(g) for g in self.generators)
+        return f"<{gens}>" if gens else "<0>"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Submodule)
+            and self.module.same_module(other.module)
+            and self.mask == other.mask
+        )
+
+    def __hash__(self):
+        return hash((self.module.signature, self.mask))
+
+    def __le__(self, other):
+        return self.mask & ~other.mask == 0
+
+    def __lt__(self, other):
+        return self.mask != other.mask and self <= other
+
+    def __repr__(self):
+        return f"{self.describe()} in {self.module.name}"
+
+
+Ideal = Submodule  # an ideal is a submodule of R viewed as a module over itself
+
+
+def zero_submodule(M: FiniteModule) -> Submodule:
+    return Submodule(M, (M.zero,), _trusted=True)
+
+
+def full_submodule(M: FiniteModule) -> Submodule:
+    return Submodule(M, range(M.order), _trusted=True)
+
+
+def span_mask(M: FiniteModule, gens) -> int:
+    """Bit mask of the smallest submodule containing the generator indices."""
+    mask = 1 << M.zero
+    elems = [M.zero]
+    queue = [g for g in gens if not mask >> g & 1]
+    for g in queue:
+        mask |= 1 << g
+    add, act = M.add, M.act
+    nr = M.ring.order
+    while queue:
+        e = queue.pop()
+        new = []
+        for r in range(nr):
+            y = act(r, e)
+            if not mask >> y & 1:
+                mask |= 1 << y
+                new.append(y)
+        for s in elems:
+            y = add(e, s)
+            if not mask >> y & 1:
+                mask |= 1 << y
+                new.append(y)
+        elems.append(e)
+        for a in new:
+            # close the new elements against everything seen so far
+            queue.append(a)
+    return mask
+
+
+def span(M: FiniteModule, gens) -> Submodule:
+    """Smallest submodule of M containing the given elements."""
+    idxs = []
+    for g in gens:
+        if isinstance(g, ModElt):
+            if not g.module.same_module(M):
+                raise CrossStructureError("generator from a different module")
+            idxs.append(g.index)
+        else:
+            idxs.append(int(g))
+    return Submodule(M, indices_of(span_mask(M, idxs)), _trusted=True)
+
+
+def cyclic_submodule(M: FiniteModule, x: int) -> Submodule:
+    return span(M, [x])
+
+
+def submodule_of_zmod(M: FiniteModule, d: int) -> Submodule:
+    """The submodule generated by d in a Z_n-like cyclic module."""
+    return span(M, [M.literal_to_index(d)])
+
+
+def _as_modelt(M: FiniteModule, x) -> int:
+    if isinstance(x, ModElt):
+        if not x.module.same_module(M):
+            raise CrossStructureError("element from a different module")
+        return x.index
+    return int(x)
+
+
+def colon_ideal(N: Submodule, x) -> Submodule:
+    """(N :_R x) = {r in R : r.x in N}, an ideal of the acting ring."""
+    M = N.module
+    xi = _as_modelt(M, x)
+    R = M.ring
+    nmask = N.mask
+    idxs = [r for r in range(R.order) if nmask >> M.act(r, xi) & 1]
+    return Submodule(R.as_module, idxs, _trusted=True)
+
+
+def annihilator(x: ModElt) -> Submodule:
+    return colon_ideal(zero_submodule(x.module), x)
+
+
+def colon_submodule(N: Submodule, r) -> Submodule:
+    """(N :_M r) = {x in M : r.x in N}."""
+    M = N.module
+    ri = r.index if isinstance(r, RingElt) else int(r)
+    if isinstance(r, RingElt) and not r.ring.same_ring(M.ring):
+        raise CrossStructureError("scalar from a different ring")
+    nmask = N.mask
+    idxs = [x for x in range(M.order) if nmask >> M.act(ri, x) & 1]
+    return Submodule(M, idxs, _trusted=True)
+
+
+def colon_ideal_global(N: Submodule) -> Submodule:
+    """(N :_R M) = {r : r M is contained in N}."""
+    M = N.module
+    R = M.ring
+    nmask = N.mask
+    idxs = [
+        r
+        for r in range(R.order)
+        if all(nmask >> M.act(r, x) & 1 for x in range(M.order))
+    ]
+    return Submodule(R.as_module, idxs, _trusted=True)
+
+
+def _require_ideal(I: Submodule) -> FiniteRing:
+    if not I.is_ideal_carrier():
+        raise CrossStructureError("expected an ideal (submodule of R over itself)")
+    return I.module.ring
+
+
+def radical(I: Submodule) -> Submodule:
+    """sqrt(I) = {u : u^k in I for some k >= 1}; k is bounded by the power
+    orbit, never by a fixed cap."""
+    R = _require_ideal(I)
+    imask = I.mask
+    idxs = [
+        u
+        for u in range(R.order)
+        if any(imask >> p & 1 for p in R.power_orbit_raw(u)[2])
+    ]
+    return Submodule(R.as_module, idxs, _trusted=True)
+
+
+def sum_submodules(A: Submodule, B: Submodule) -> Submodule:
+    if not A.module.same_module(B.module):
+        raise CrossStructureError("submodules of different modules")
+    M = A.module
+    add = M.add
+    mask = 0
+    for a in A.indices:
+        for b in B.indices:
+            mask |= 1 << add(a, b)
+    return Submodule(M, indices_of(mask), _trusted=True)
+
+
+def intersect_submodules(A: Submodule, B: Submodule) -> Submodule:
+    if not A.module.same_module(B.module):
+        raise CrossStructureError("submodules of different modules")
+    return Submodule(A.module, indices_of(A.mask & B.mask), _trusted=True)
+
+
+def m_radical(N: Submodule) -> Submodule:
+    """Intersection of all prime submodules containing N; M itself when no
+    prime submodule contains N."""
+    N.require_proper()
+    from .lattice import all_submodules
+    from .predicates import is_prime_submodule
+
+    M = N.module
+    mask = None
+    for Q in all_submodules(M).members:
+        if not Q.is_proper or N.mask & ~Q.mask:
+            continue
+        if is_prime_submodule(Q).holds:
+            mask = Q.mask if mask is None else mask & Q.mask
+    if mask is None:
+        return full_submodule(M)
+    return Submodule(M, indices_of(mask), _trusted=True)
+
+
+class ModuleHom:
+    """An additive, scalar-compatible map between modules.
+
+    With ``ring_map=None`` both modules must share the acting ring and the
+    map is R-linear; otherwise it is semilinear along the given ring hom
+    (map(r.x) = ring_map(r).map(x)), which covers localization maps."""
+
+    def __init__(self, domain, codomain, table, ring_map: RingHom | None = None, name="phi"):
+        table = list(table)
+        if len(table) != domain.order:
+            raise InvalidConstructionError("module hom table has wrong length")
+        if ring_map is None:
+            if not domain.ring.same_ring(codomain.ring):
+                raise CrossStructureError("module hom needs a common acting ring")
+            scalar = lambda r: r
+        else:
+            if not ring_map.domain.same_ring(domain.ring) or not ring_map.codomain.same_ring(
+                codomain.ring
+            ):
+                raise CrossStructureError("ring map does not match the module hom")
+            scalar = ring_map
+        if table[domain.zero] != codomain.zero:
+            raise InvalidConstructionError("module hom must send 0 to 0")
+        for a in range(domain.order):
+            for b in range(domain.order):
+                if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
+                    raise InvalidConstructionError("module hom is not additive")
+        for r in range(domain.ring.order):
+            for a in range(domain.order):
+                if table[domain.act(r, a)] != codomain.act(scalar(r), table[a]):
+                    raise InvalidConstructionError("module hom is not linear")
+        self.domain = domain
+        self.codomain = codomain
+        self.table = table
+        self.ring_map = ring_map
+        self.name = name
+
+    def __call__(self, i: int) -> int:
+        return self.table[i]
+
+    def apply(self, x: ModElt) -> ModElt:
+        if not x.module.same_module(self.domain):
+            raise CrossStructureError("element not in the hom's domain")
+        return self.codomain.elt(self.table[x.index])
+
+    def is_surjective(self) -> bool:
+        return len(set(self.table)) == self.codomain.order
+
+    def kernel(self) -> Submodule:
+        z = self.codomain.zero
+        return Submodule(
+            self.domain,
+            [i for i in range(self.domain.order) if self.table[i] == z],
+            _trusted=True,
+        )
+
+    def image_submodule(self, N: Submodule) -> Submodule:
+        if not N.module.same_module(self.domain):
+            raise CrossStructureError("submodule not in the hom's domain")
+        return Submodule(self.codomain, {self.table[i] for i in N.indices})
+
+    def preimage_submodule(self, N: Submodule) -> Submodule:
+        if not N.module.same_module(self.codomain):
+            raise CrossStructureError("submodule not in the hom's codomain")
+        return Submodule(
+            self.domain,
+            [i for i in range(self.domain.order) if N.contains(self.table[i])],
+            _trusted=True,
+        )
+
+    def __repr__(self):
+        return f"<{self.name}: {self.domain.name} -> {self.codomain.name}>"
+
+
+def identity_module_hom(M: FiniteModule) -> ModuleHom:
+    return ModuleHom(M, M, range(M.order), name="id")

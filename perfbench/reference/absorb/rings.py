@@ -1,0 +1,609 @@
+"""Finite commutative rings with identity.
+
+Every ring addresses its elements by canonical indices ``0 .. order-1``
+(mixed-radix over the constructor tree), so that witnesses printed by the
+checkers are reproducible across runs.  Ring values are immutable after
+construction; every operation is a pure function of its inputs.
+"""
+from __future__ import annotations
+
+import functools
+import random
+from typing import Callable
+
+from .errors import (
+    CrossStructureError,
+    InvalidConstructionError,
+    InvalidOrderError,
+)
+
+AXIOM_EXHAUSTIVE_BOUND = 32
+AXIOM_SAMPLE_COUNT = 1000
+TABULATE_BOUND = 65536
+_SAMPLE_SEED = 0xA11CE
+
+
+class FiniteRing:
+    """Base class; subclasses provide index arithmetic and set zero/one."""
+
+    order: int
+    name: str
+    zero: int
+    one: int
+
+    def add(self, i: int, j: int) -> int:
+        raise NotImplementedError
+
+    def mul(self, i: int, j: int) -> int:
+        raise NotImplementedError
+
+    def neg(self, i: int) -> int:
+        raise NotImplementedError
+
+    def sub(self, i: int, j: int) -> int:
+        return self.add(i, self.neg(j))
+
+    def describe(self, i: int) -> str:
+        raise NotImplementedError
+
+    def literal_to_index(self, lit) -> int:
+        """Map a structural literal (int, or nested pair tuple) to an index."""
+        raise NotImplementedError
+
+    @property
+    def signature(self):
+        """Structural identity; two rings with equal signatures are the same
+        construction and their indices are interchangeable."""
+        raise NotImplementedError
+
+    # -- shared machinery -------------------------------------------------
+
+    def _finalize(self) -> None:
+        if self.order < 2 or self.zero == self.one:
+            raise InvalidOrderError(f"{self.name}: need 1 != 0")
+        self._orbit_cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        self._unit_cache: frozenset[int] | None = None
+        self._as_module = None
+        # direct modular arithmetic needs no axiom scan (the test suite
+        # verifies it independently); derived constructions are scanned
+        if not getattr(self, "_trusted_ops", False):
+            self._tabulate()
+            self._check_axioms()
+
+    def _tabulate(self) -> None:
+        """Replace the structural add/mul/neg with table lookups when the
+        ring is small; the predicate scanners hit these millions of times."""
+        n = self.order
+        if n * n > TABULATE_BOUND:
+            return
+        add, mul, neg = self.add, self.mul, self.neg
+        add_t = [[add(i, j) for j in range(n)] for i in range(n)]
+        mul_t = [[mul(i, j) for j in range(n)] for i in range(n)]
+        neg_t = [neg(i) for i in range(n)]
+        self.add = lambda i, j, _t=add_t: _t[i][j]
+        self.mul = lambda i, j, _t=mul_t: _t[i][j]
+        self.neg = lambda i, _t=neg_t: _t[i]
+        self.sub = lambda i, j, _a=add_t, _n=neg_t: _a[i][_n[j]]
+
+    def _check_axioms(self) -> None:
+        n = self.order
+        if n <= AXIOM_EXHAUSTIVE_BOUND:
+            triples = (
+                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            )
+        else:
+            rng = random.Random(_SAMPLE_SEED)
+            triples = (
+                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                for _ in range(AXIOM_SAMPLE_COUNT)
+            )
+        add, mul = self.add, self.mul
+        one = self.one
+        for a, b, c in triples:
+            if add(a, b) != add(b, a) or mul(a, b) != mul(b, a):
+                raise InvalidConstructionError(f"{self.name}: not commutative")
+            if add(add(a, b), c) != add(a, add(b, c)):
+                raise InvalidConstructionError(f"{self.name}: + not associative")
+            if mul(mul(a, b), c) != mul(a, mul(b, c)):
+                raise InvalidConstructionError(f"{self.name}: * not associative")
+            if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+                raise InvalidConstructionError(f"{self.name}: not distributive")
+            if mul(one, a) != a or add(self.zero, a) != a:
+                raise InvalidConstructionError(f"{self.name}: bad identities")
+            if add(a, self.neg(a)) != self.zero:
+                raise InvalidConstructionError(f"{self.name}: bad negation")
+
+    def elt(self, i: int) -> "RingElt":
+        if not 0 <= i < self.order:
+            raise CrossStructureError(f"index {i} out of range for {self.name}")
+        return RingElt(self, i)
+
+    def elements(self):
+        return (RingElt(self, i) for i in range(self.order))
+
+    def power_orbit_raw(self, t: int) -> tuple[int, int, tuple[int, ...]]:
+        """(preperiod, period, distinct powers t^1..t^(pre+per-1))."""
+        cached = self._orbit_cache.get(t)
+        if cached is not None:
+            return cached
+        seen: dict[int, int] = {}
+        seq: list[int] = []
+        p, k = t, 1
+        while p not in seen:
+            seen[p] = k
+            seq.append(p)
+            p = self.mul(p, t)
+            k += 1
+        pre = seen[p]
+        result = (pre, k - pre, tuple(seq))
+        self._orbit_cache[t] = result
+        return result
+
+    def stable_idempotent_raw(self, t: int) -> int:
+        pre, _, seq = self.power_orbit_raw(t)
+        for e in seq[pre - 1:]:
+            if self.mul(e, e) == e:
+                return e
+        raise AssertionError("finite power orbit cycle must contain an idempotent")
+
+    def units_raw(self) -> frozenset[int]:
+        if self._unit_cache is None:
+            one = self.one
+            found = set()
+            for u in range(self.order):
+                if any(self.mul(u, w) == one for w in range(self.order)):
+                    found.add(u)
+            self._unit_cache = frozenset(found)
+        return self._unit_cache
+
+    def is_unit(self, i: int) -> bool:
+        return i in self.units_raw()
+
+    @property
+    def as_module(self):
+        """The ring viewed as a module over itself (cached)."""
+        if self._as_module is None:
+            from .modules import RingAsModule
+
+            self._as_module = RingAsModule(self)
+        return self._as_module
+
+    def same_ring(self, other: "FiniteRing") -> bool:
+        return self is other or self.signature == other.signature
+
+    def __repr__(self):
+        return f"<ring {self.name} order={self.order}>"
+
+
+class RingElt:
+    """A ring element: an index plus its owning ring."""
+
+    __slots__ = ("ring", "index")
+
+    def __init__(self, ring: FiniteRing, index: int):
+        self.ring = ring
+        self.index = index
+
+    def _peer(self, other) -> int:
+        if not isinstance(other, RingElt) or not self.ring.same_ring(other.ring):
+            raise CrossStructureError("elements belong to different rings")
+        return other.index
+
+    def __add__(self, other):
+        return RingElt(self.ring, self.ring.add(self.index, self._peer(other)))
+
+    def __sub__(self, other):
+        return RingElt(self.ring, self.ring.sub(self.index, self._peer(other)))
+
+    def __mul__(self, other):
+        return RingElt(self.ring, self.ring.mul(self.index, self._peer(other)))
+
+    def __neg__(self):
+        return RingElt(self.ring, self.ring.neg(self.index))
+
+    def __pow__(self, k: int):
+        if k < 1:
+            raise ValueError("powers start at k = 1")
+        acc = self.index
+        for _ in range(k - 1):
+            acc = self.ring.mul(acc, self.index)
+        return RingElt(self.ring, acc)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RingElt)
+            and self.ring.same_ring(other.ring)
+            and self.index == other.index
+        )
+
+    def __hash__(self):
+        return hash((self.ring.signature, self.index))
+
+    def __repr__(self):
+        return self.ring.describe(self.index)
+
+
+class ZMod(FiniteRing):
+    """Z/nZ with elements 0..n-1."""
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise InvalidOrderError(f"Z_{n} is not a nonzero ring")
+        self.n = n
+        self.order = n
+        self.name = f"Z{n}"
+        self.zero = 0
+        self.one = 1
+        self._trusted_ops = True
+        self._finalize()
+
+    def add(self, i, j):
+        return (i + j) % self.n
+
+    def mul(self, i, j):
+        return (i * j) % self.n
+
+    def neg(self, i):
+        return -i % self.n
+
+    def describe(self, i):
+        return str(i)
+
+    def literal_to_index(self, lit):
+        if not isinstance(lit, int):
+            raise InvalidConstructionError(f"{self.name}: element literal must be an integer")
+        return lit % self.n
+
+    @property
+    def signature(self):
+        return ("zmod", self.n)
+
+
+class ProductRing(FiniteRing):
+    """Componentwise product; index = left * |right| + right."""
+
+    def __init__(self, left: FiniteRing, right: FiniteRing):
+        self.left = left
+        self.right = right
+        self._ro = right.order
+        self.order = left.order * right.order
+        self.name = f"({left.name} x {right.name})"
+        self.zero = self._pack(left.zero, right.zero)
+        self.one = self._pack(left.one, right.one)
+        self._finalize()
+
+    def _pack(self, a, b):
+        return a * self._ro + b
+
+    def parts(self, i):
+        return divmod(i, self._ro)
+
+    def add(self, i, j):
+        a1, b1 = divmod(i, self._ro)
+        a2, b2 = divmod(j, self._ro)
+        return self.left.add(a1, a2) * self._ro + self.right.add(b1, b2)
+
+    def mul(self, i, j):
+        a1, b1 = divmod(i, self._ro)
+        a2, b2 = divmod(j, self._ro)
+        return self.left.mul(a1, a2) * self._ro + self.right.mul(b1, b2)
+
+    def neg(self, i):
+        a, b = divmod(i, self._ro)
+        return self.left.neg(a) * self._ro + self.right.neg(b)
+
+    def describe(self, i):
+        a, b = divmod(i, self._ro)
+        return f"({self.left.describe(a)},{self.right.describe(b)})"
+
+    def literal_to_index(self, lit):
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        return self._pack(
+            self.left.literal_to_index(lit[0]), self.right.literal_to_index(lit[1])
+        )
+
+    @property
+    def signature(self):
+        return ("product", self.left.signature, self.right.signature)
+
+
+class QuotientRing(FiniteRing):
+    """base / ideal; elements are cosets indexed by rank of their least
+    representative."""
+
+    def __init__(self, base: FiniteRing, ideal):
+        if not getattr(ideal, "is_ideal_carrier", lambda: False)():
+            raise InvalidConstructionError("quotient modulus must be an ideal of the base ring")
+        if not base.same_ring(ideal.module.ring):
+            raise CrossStructureError("ideal does not belong to the base ring")
+        self.base = base
+        proj = [-1] * base.order
+        reps: list[int] = []
+        for a in range(base.order):
+            if proj[a] >= 0:
+                continue
+            coset = sorted(base.add(a, i) for i in ideal.indices)
+            rank = len(reps)
+            reps.append(coset[0])
+            for c in coset:
+                proj[c] = rank
+        self._reps = reps
+        self._proj = proj
+        self._ideal_indices = tuple(ideal.indices)
+        self.order = len(reps)
+        self.name = f"{base.name}/({len(ideal.indices)} elts)"
+        self.zero = proj[base.zero]
+        self.one = proj[base.one]
+        if self.order < 2:
+            raise InvalidOrderError("quotient by the full ring is the zero ring")
+        self._finalize()
+
+    def project(self, base_index: int) -> int:
+        return self._proj[base_index]
+
+    def representative(self, i: int) -> int:
+        return self._reps[i]
+
+    def add(self, i, j):
+        return self._proj[self.base.add(self._reps[i], self._reps[j])]
+
+    def mul(self, i, j):
+        return self._proj[self.base.mul(self._reps[i], self._reps[j])]
+
+    def neg(self, i):
+        return self._proj[self.base.neg(self._reps[i])]
+
+    def describe(self, i):
+        return f"[{self.base.describe(self._reps[i])}]"
+
+    def literal_to_index(self, lit):
+        return self._proj[self.base.literal_to_index(lit)]
+
+    @property
+    def signature(self):
+        return ("quotient", self.base.signature, self._ideal_indices)
+
+
+class SubringOnIdempotent(FiniteRing):
+    """The ring e*base for an idempotent e, with identity e."""
+
+    def __init__(self, base: FiniteRing, e: int):
+        if base.mul(e, e) != e:
+            raise InvalidConstructionError("subring carrier needs an idempotent element")
+        if e == base.zero:
+            raise InvalidOrderError("idempotent 0 gives the zero ring")
+        self.base = base
+        self.e = e
+        carrier = sorted({base.mul(e, i) for i in range(base.order)})
+        self.carrier = carrier
+        self._pos = {c: k for k, c in enumerate(carrier)}
+        self.order = len(carrier)
+        self.name = f"{base.describe(e)}*{base.name}"
+        self.zero = self._pos[base.zero]
+        self.one = self._pos[e]
+        self._finalize()
+
+    def from_base(self, base_index: int) -> int:
+        """Index of e*x for a base-ring index x."""
+        return self._pos[self.base.mul(self.e, base_index)]
+
+    def add(self, i, j):
+        return self._pos[self.base.add(self.carrier[i], self.carrier[j])]
+
+    def mul(self, i, j):
+        return self._pos[self.base.mul(self.carrier[i], self.carrier[j])]
+
+    def neg(self, i):
+        return self._pos[self.base.neg(self.carrier[i])]
+
+    def describe(self, i):
+        return self.base.describe(self.carrier[i])
+
+    def literal_to_index(self, lit):
+        return self.from_base(self.base.literal_to_index(lit))
+
+    @property
+    def signature(self):
+        return ("idempotent-subring", self.base.signature, self.e)
+
+
+class IdealizationRing(FiniteRing):
+    """Trivial extension of a ring by a module: carrier R x M with
+    (u,x)(v,y) = (uv, uy + vx); index = r * |M| + m."""
+
+    def __init__(self, base: FiniteRing, module):
+        if not base.same_ring(module.ring):
+            raise CrossStructureError("module must be over the base ring")
+        self.base = base
+        self.module = module
+        self._mo = module.order
+        self.order = base.order * module.order
+        self.name = f"{base.name}|x{module.name}"
+        self.zero = base.zero * self._mo + module.zero
+        self.one = base.one * self._mo + module.zero
+        self._finalize()
+
+    def parts(self, i):
+        return divmod(i, self._mo)
+
+    def add(self, i, j):
+        r1, m1 = divmod(i, self._mo)
+        r2, m2 = divmod(j, self._mo)
+        return self.base.add(r1, r2) * self._mo + self.module.add(m1, m2)
+
+    def mul(self, i, j):
+        r1, m1 = divmod(i, self._mo)
+        r2, m2 = divmod(j, self._mo)
+        m = self.module.add(self.module.act(r1, m2), self.module.act(r2, m1))
+        return self.base.mul(r1, r2) * self._mo + m
+
+    def neg(self, i):
+        r, m = divmod(i, self._mo)
+        return self.base.neg(r) * self._mo + self.module.neg(m)
+
+    def describe(self, i):
+        r, m = divmod(i, self._mo)
+        return f"({self.base.describe(r)},{self.module.describe(m)})"
+
+    def literal_to_index(self, lit):
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        return (
+            self.base.literal_to_index(lit[0]) * self._mo
+            + self.module.literal_to_index(lit[1])
+        )
+
+    @property
+    def signature(self):
+        return ("idealization", self.base.signature, self.module.signature)
+
+
+class AmalgamationRing(FiniteRing):
+    """Subring {(u, f(u)+j) : u in R1, j in J} of R1 x R2."""
+
+    def __init__(self, r1: FiniteRing, r2: FiniteRing, hom: "RingHom", j_ideal):
+        if not hom.domain.same_ring(r1) or not hom.codomain.same_ring(r2):
+            raise CrossStructureError("hom must map R1 to R2")
+        if not getattr(j_ideal, "is_ideal_carrier", lambda: False)():
+            raise InvalidConstructionError("amalgamation needs an ideal of R2")
+        if not j_ideal.module.ring.same_ring(r2):
+            raise CrossStructureError("J must be an ideal of R2")
+        self.r1 = r1
+        self.r2 = r2
+        self.hom = hom
+        self.j_list = list(j_ideal.indices)
+        self._jpos = {j: k for k, j in enumerate(self.j_list)}
+        self._jo = len(self.j_list)
+        self.order = r1.order * self._jo
+        self.name = f"{r1.name}|><|{r2.name}"
+        self.zero = self._pack(r1.zero, r2.zero)
+        self.one = self._pack(r1.one, hom(r1.one))
+        self._finalize()
+
+    def _pack(self, u, w):
+        j = self.r2.sub(w, self.hom(u))
+        return u * self._jo + self._jpos[j]
+
+    def pair_of(self, i):
+        """(u index in R1, second-component index in R2)."""
+        u, jr = divmod(i, self._jo)
+        return u, self.r2.add(self.hom(u), self.j_list[jr])
+
+    def add(self, i, j):
+        u1, w1 = self.pair_of(i)
+        u2, w2 = self.pair_of(j)
+        return self._pack(self.r1.add(u1, u2), self.r2.add(w1, w2))
+
+    def mul(self, i, j):
+        u1, w1 = self.pair_of(i)
+        u2, w2 = self.pair_of(j)
+        return self._pack(self.r1.mul(u1, u2), self.r2.mul(w1, w2))
+
+    def neg(self, i):
+        u, w = self.pair_of(i)
+        return self._pack(self.r1.neg(u), self.r2.neg(w))
+
+    def describe(self, i):
+        u, w = self.pair_of(i)
+        return f"({self.r1.describe(u)},{self.r2.describe(w)})"
+
+    def literal_to_index(self, lit):
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        u = self.r1.literal_to_index(lit[0])
+        w = self.r2.literal_to_index(lit[1])
+        j = self.r2.sub(w, self.hom(u))
+        if j not in self._jpos:
+            raise InvalidConstructionError(
+                f"{self.name}: {lit} is not in the amalgamation carrier"
+            )
+        return u * self._jo + self._jpos[j]
+
+    @property
+    def signature(self):
+        return (
+            "amalgamation",
+            self.r1.signature,
+            self.r2.signature,
+            tuple(self.hom.table),
+            tuple(self.j_list),
+        )
+
+
+class RingHom:
+    """A unital ring homomorphism given by an index table; verified at
+    construction."""
+
+    def __init__(self, domain: FiniteRing, codomain: FiniteRing, table, name="f"):
+        table = list(table)
+        if len(table) != domain.order:
+            raise InvalidConstructionError("hom table has wrong length")
+        if table[domain.zero] != codomain.zero or table[domain.one] != codomain.one:
+            raise InvalidConstructionError("hom must send 0 to 0 and 1 to 1")
+        for a in range(domain.order):
+            for b in range(domain.order):
+                if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
+                    raise InvalidConstructionError("hom is not additive")
+                if table[domain.mul(a, b)] != codomain.mul(table[a], table[b]):
+                    raise InvalidConstructionError("hom is not multiplicative")
+        self.domain = domain
+        self.codomain = codomain
+        self.table = table
+        self.name = name
+
+    def __call__(self, i: int) -> int:
+        return self.table[i]
+
+    def apply(self, x: RingElt) -> RingElt:
+        if not x.ring.same_ring(self.domain):
+            raise CrossStructureError("element is not in the hom's domain")
+        return self.codomain.elt(self.table[x.index])
+
+    def __repr__(self):
+        return f"<{self.name}: {self.domain.name} -> {self.codomain.name}>"
+
+
+def identity_hom(ring: FiniteRing) -> RingHom:
+    return RingHom(ring, ring, range(ring.order), name="id")
+
+
+def reduction_hom(src: ZMod, dst: ZMod) -> RingHom:
+    """The canonical map Z_m -> Z_n, defined when n divides m."""
+    if not isinstance(src, ZMod) or not isinstance(dst, ZMod):
+        raise InvalidConstructionError("reduction maps exist between Z_n rings only")
+    if src.n % dst.n != 0:
+        raise InvalidConstructionError(f"no reduction Z_{src.n} -> Z_{dst.n}")
+    return RingHom(src, dst, [i % dst.n for i in range(src.n)], name="redmap")
+
+
+def quotient_projection(qring: QuotientRing) -> RingHom:
+    return RingHom(qring.base, qring, qring._proj, name="proj")
+
+
+# -- convenience wrappers --------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def make_zmod(n: int) -> ZMod:
+    """Shared Z_n instances (rings are immutable, so reuse keeps caches of
+    orbits, units, and lattices warm)."""
+    return ZMod(n)
+
+
+def product_ring(r1: FiniteRing, r2: FiniteRing) -> ProductRing:
+    return ProductRing(r1, r2)
+
+
+def units(r: FiniteRing) -> set[RingElt]:
+    return {r.elt(u) for u in r.units_raw()}
+
+
+def power_orbit(t: RingElt):
+    """(preperiod, period, orbit) for the power sequence t, t^2, ..."""
+    pre, per, seq = t.ring.power_orbit_raw(t.index)
+    return pre, per, [t.ring.elt(i) for i in seq]
+
+
+def stable_idempotent(t: RingElt) -> RingElt:
+    return t.ring.elt(t.ring.stable_idempotent_raw(t.index))

@@ -1,0 +1,974 @@
+"""Named verification suites and the Z_n classification.
+
+Each suite sweeps a configured family of modules, checks one universally
+quantified statement on every instance, and reports violations (each replayable from
+its description).  Suites that encode a known counterexample also confirm
+it and record the confirmation.
+"""
+from __future__ import annotations
+
+import functools
+import time
+from dataclasses import dataclass, field
+from math import gcd
+
+from .errors import DegenerateLocalizationError, UnknownSuiteError
+from .rings import IdealizationRing, ProductRing, RingHom, ZMod, identity_hom, make_zmod, reduction_hom
+from .modules import (
+    CyclicModule,
+    ModuleHom,
+    ProductModule,
+    RingAsModule,
+    Submodule,
+    colon_submodule,
+    full_submodule,
+    indices_of,
+    intersect_submodules,
+    m_radical,
+    radical,
+    span,
+    zero_submodule,
+)
+from .constructions import (
+    MultiplicativeSet,
+    amalg_submodule_n1,
+    amalgamated_module,
+    amalgamation_ring,
+    idealization_subset,
+    localize_module,
+    localize_submodule,
+    product_submodule,
+    quotient_module,
+    saturate,
+)
+from .lattice import all_multiplicative_sets, all_submodules, decomposition_check
+from .predicates import (
+    PROPERTY_CHECKS,
+    PropertyReport,
+    RingSubset,
+    is_gsdf_absorbing,
+    is_prime_submodule,
+    is_sdf_primary_ideal,
+    replay_witness,
+    setwise_sdf_primary,
+)
+
+# ----------------------------------------------------------- shared plumbing
+
+_VERDICTS: dict = {}
+
+
+def cached_check(prop: str, N: Submodule, **kw) -> PropertyReport:
+    key = (prop, N.module.signature, N.mask, tuple(sorted(kw.items())))
+    if key not in _VERDICTS:
+        _VERDICTS[key] = PROPERTY_CHECKS[prop](N, **kw)
+    return _VERDICTS[key]
+
+
+@dataclass
+class SuiteReport:
+    suite_id: str
+    statement: str
+    instances_checked: int
+    violations: list
+    elapsed: float
+    parameters: dict
+    confirmations: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def zn_module(n: int) -> RingAsModule:
+    return make_zmod(n).as_module
+
+
+def zn_family(max_n: int = 60):
+    for n in range(2, max_n + 1):
+        yield zn_module(n)
+
+
+def lcm(a: int, b: int) -> int:
+    return a * b // gcd(a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_module(a: int, b: int) -> ProductModule:
+    R = make_zmod(lcm(a, b))
+    return ProductModule(CyclicModule(R, a), CyclicModule(R, b))
+
+
+def product_family(max_ab: int = 12):
+    """Z_a x Z_b with Z acting through Z_lcm(a,b); unordered pairs, since
+    the two orders give the same module up to swapping coordinates."""
+    for a in range(2, max_ab + 1):
+        for b in range(a, max_ab + 1):
+            yield _product_module(a, b)
+
+
+def idealization_family(ns=(2, 3, 4, 6, 8)):
+    for n in ns:
+        R = make_zmod(n)
+        yield IdealizationRing(R, R.as_module).as_module
+
+
+def amalgamation_instances(ring_ns=(6, 12)):
+    """(ring, module, description) triples: R1 = R2 = Z_n with f = id, plus
+    every reduction hom Z_a -> Z_b between family members, sweeping all
+    ideals J of R2; M1 = M2 = self and phi has the same table as f."""
+    homs = []
+    for n in ring_ns:
+        Rn = make_zmod(n)
+        homs.append((Rn, Rn, identity_hom(Rn)))
+    for a in ring_ns:
+        for b in ring_ns:
+            if a != b and a % b == 0:
+                homs.append((make_zmod(a), make_zmod(b), reduction_hom(make_zmod(a), make_zmod(b))))
+    for r1, r2, f in homs:
+        m1, m2 = r1.as_module, r2.as_module
+        phi = ModuleHom(m1, m2, f.table, ring_map=f, name=f.name)
+        for J in all_submodules(m2).members:
+            A = amalgamation_ring(r1, r2, f, J)
+            AM = amalgamated_module(A, m1, m2, phi, J)
+            desc = f"{r1.name} amalg {r2.name} via {f.name}, J={J.describe()}"
+            yield AM, m1, J, desc
+
+
+def default_family():
+    """Every module instance swept by the cross-cutting suites."""
+    yield from zn_family(60)
+    yield from product_family(12)
+    yield from idealization_family()
+    for AM, _m1, _J, _desc in amalgamation_instances():
+        yield AM
+
+
+# ------------------------------------------------------------ classification
+
+
+def is_pk_or_2pk(n: int) -> bool:
+    """n = p^k (p prime) or n = 2 p^k (p an odd prime)."""
+    if n <= 1:
+        return False
+    m = n
+    if m % 2 == 0:
+        m //= 2
+        if m == 1:
+            return True  # n = 2
+        if m % 2 == 0:
+            # n divisible by 4: must be a power of 2 outright
+            while m % 2 == 0:
+                m //= 2
+            return m == 1
+        # n = 2 * odd: the odd part must be p^k
+    return _is_prime_power(m)
+
+
+def _is_prime_power(m: int) -> bool:
+    if m <= 1:
+        return False
+    p = None
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            p = f
+            while m % f == 0:
+                m //= f
+            break
+        f += 1
+    if p is None:
+        return True  # m itself prime
+    return m == 1
+
+
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def gsdf_zero_zn(n: int):
+    """Brute-force pair scan deciding whether (0) is gsdf-absorbing in Z_n,
+    specialized to Z_n so the hit masks come from divisor arithmetic instead
+    of a full action table.  Same scan order and witness as
+    is_gsdf_absorbing on the zero submodule of Z_n (verified in tests)."""
+    div_mask: dict[int, int] = {}
+
+    def multiples(m: int) -> int:
+        if m not in div_mask:
+            v = 0
+            for x in range(0, n, m):
+                v |= 1 << x
+            div_mask[m] = v
+        return div_mask[m]
+
+    hit = [multiples(n // gcd(t, n)) for t in range(n)]
+    reach: dict[int, int] = {}
+    for u in range(n):
+        for v in range(u + 1):
+            d = (u - v) % n
+            s = (u + v) % n
+            bad = hit[d * s % n] & ~hit[d]
+            if not bad:
+                continue
+            if s not in reach:
+                g = gcd(s, n) if s else n
+                while gcd(g * g, n) != g:
+                    g = gcd(g * g, n)
+                reach[s] = multiples(n // g)
+            bad &= ~reach[s]
+            if bad:
+                x = (bad & -bad).bit_length() - 1
+                return False, (u, v, x)
+    return True, None
+
+
+@dataclass(frozen=True)
+class ZnRow:
+    n: int
+    gsdf_zero: bool
+    predicted: bool
+    factorization: tuple
+    witness: tuple | None
+
+    @property
+    def match(self) -> bool:
+        return self.gsdf_zero == self.predicted
+
+
+@dataclass
+class ZnClassification:
+    max_n: int
+    rows: list[ZnRow]
+
+    @property
+    def mismatches(self) -> list[ZnRow]:
+        return [r for r in self.rows if not r.match]
+
+
+def _classify_row(n: int) -> ZnRow:
+    holds, witness = gsdf_zero_zn(n)
+    return ZnRow(n, holds, is_pk_or_2pk(n), factorize(n), witness)
+
+
+def classify_zn(max_n: int, jobs: int = 1) -> ZnClassification:
+    ns = range(2, max_n + 1)
+    if jobs > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(jobs) as pool:
+            rows = pool.map(_classify_row, ns)
+    else:
+        rows = [_classify_row(n) for n in ns]
+    rows.sort(key=lambda r: r.n)
+    return ZnClassification(max_n, rows)
+
+
+# ------------------------------------------------------------------- suites
+
+
+def _suite_eq_equivalence(params):
+    """The four characterizations of gsdf-absorbing agree: N gsdf <=>
+    (N :_M r) gsdf for every r with rM not inside N <=> (N :_R x)
+    sdf-primary for every x outside N <=> (N :_R K) sdf-primary for every
+    finitely generated K (checked for all <= 2-generated K) not inside N."""
+    zn_max = params.get("zn_max", 60)
+    prod_max = params.get("prod_max", 12)
+    modules = list(zn_family(zn_max)) + list(product_family(prod_max))
+    checked = 0
+    violations = []
+    sdfp_cache: dict = {}
+
+    def sdfp(ring, mask: int) -> bool:
+        key = (ring.signature, mask)
+        if key not in sdfp_cache:
+            I = Submodule(ring.as_module, indices_of(mask), _trusted=True)
+            sdfp_cache[key] = is_sdf_primary_ideal(I).holds
+        return sdfp_cache[key]
+
+    for M in modules:
+        R = M.ring
+        nr, nm = R.order, M.order
+        act = M.act
+        full_m = (1 << nm) - 1
+        for N in all_submodules(M).proper:
+            checked += 1
+            nmask = N.mask
+            hit = [0] * nr
+            cols = [0] * nm
+            for t in range(nr):
+                row = 0
+                for x in range(nm):
+                    if nmask >> act(t, x) & 1:
+                        row |= 1 << x
+                        cols[x] |= 1 << t
+                hit[t] = row
+            b1 = cached_check("gsdf", N).holds
+            # (2): distinct (N :_M r) with rM not inside N are submodules
+            colon_masks = {hit[t] for t in range(nr) if hit[t] != full_m}
+            b2 = all(
+                cached_check("gsdf", Submodule(M, indices_of(cm), _trusted=True)).holds
+                for cm in colon_masks
+            )
+            # (3): distinct (N :_R x) for x outside N
+            proper_cols = {cols[x] for x in range(nm) if not nmask >> x & 1}
+            b3 = all(sdfp(R, cm) for cm in proper_cols)
+            # (4): <=2-generated K not inside N; (N :_R <x1,x2>) is the
+            # intersection of the two element colons
+            col_list = sorted(proper_cols)
+            pair_masks = {
+                col_list[i] & col_list[j]
+                for i in range(len(col_list))
+                for j in range(i, len(col_list))
+            }
+            b4 = all(sdfp(R, cm) for cm in pair_masks)
+            if not (b1 == b2 == b3 == b4):
+                violations.append(
+                    (
+                        f"{M.name}: N={N.describe()} verdicts (1,2,3,4)=({b1},{b2},{b3},{b4})",
+                        cached_check("gsdf", N),
+                    )
+                )
+    return checked, violations, {}, {"zn_max": zn_max, "prod_max": prod_max}
+
+
+def _suite_unit2(params):
+    """When 2 is a unit, gsdf-absorbing = classical primary."""
+    max_n = params.get("max_n", 99)
+    checked = 0
+    violations = []
+    for n in range(3, max_n + 1, 2):
+        M = zn_module(n)
+        assert M.ring.is_unit(2 % n)
+        for N in all_submodules(M).proper:
+            checked += 1
+            g = cached_check("gsdf", N).holds
+            c = cached_check("cprimary", N).holds
+            if g != c:
+                violations.append(
+                    (f"Z{n}: N={N.describe()} gsdf={g} cprimary={c}", cached_check("gsdf", N))
+                )
+    return checked, violations, {}, {"max_n": max_n, "parity": "odd"}
+
+
+def _char_two_modules():
+    R2 = make_zmod(2)
+    yield R2.as_module
+    P = ProductRing(R2, make_zmod(2))
+    yield P.as_module
+    yield IdealizationRing(R2, R2.as_module).as_module
+    yield ProductModule(R2.as_module, CyclicModule(R2, 2))
+
+
+def _suite_char2(params):
+    """In characteristic 2 every proper submodule is gsdf-absorbing."""
+    checked = 0
+    violations = []
+    for M in _char_two_modules():
+        one = M.ring.one
+        assert M.ring.add(one, one) == M.ring.zero
+        for N in all_submodules(M).proper:
+            checked += 1
+            rep = cached_check("gsdf", N)
+            if not rep.holds:
+                violations.append((f"{M.name}: N={N.describe()}", rep))
+    return checked, violations, {}, {"family": "char-2 rings"}
+
+
+def _is_reduced(M) -> bool:
+    R = M.ring
+    for u in range(R.order):
+        u2 = R.mul(u, u)
+        for x in range(M.order):
+            if M.act(u2, x) == M.zero and M.act(u, x) != M.zero:
+                return False
+    return True
+
+
+def _suite_reduced_zero(params):
+    """In a reduced module, (0) gsdf-absorbing <=> (0) sdf-absorbing."""
+    max_n = params.get("max_n", 60)
+    checked = 0
+    skipped = 0
+    violations = []
+    for M in zn_family(max_n):
+        if not _is_reduced(M):
+            skipped += 1
+            continue
+        checked += 1
+        Z = zero_submodule(M)
+        g = cached_check("gsdf", Z).holds
+        s = cached_check("sdf", Z).holds
+        if g != s:
+            violations.append((f"{M.name}: gsdf(0)={g} sdf(0)={s}", cached_check("gsdf", Z)))
+    return checked, violations, {"non_reduced_skipped": skipped}, {"max_n": max_n}
+
+
+def _is_vnr(R) -> bool:
+    return all(
+        any(R.mul(R.mul(a, x), a) == a for x in range(R.order)) for a in range(R.order)
+    )
+
+
+def _suite_vnr(params):
+    """Over a von Neumann regular ring, gsdf-absorbing = sdf-absorbing for
+    every proper submodule (every ideal is radical)."""
+    max_n = params.get("max_n", 60)
+    mods = [M for M in zn_family(max_n) if _is_vnr(M.ring)]
+    for p, q in ((2, 3), (2, 5), (3, 5), (2, 7)):
+        mods.append(ProductRing(make_zmod(p), make_zmod(q)).as_module)
+    checked = 0
+    violations = []
+    for M in mods:
+        for N in all_submodules(M).proper:
+            checked += 1
+            g = cached_check("gsdf", N).holds
+            s = cached_check("sdf", N).holds
+            if g != s:
+                violations.append(
+                    (f"{M.name}: N={N.describe()} gsdf={g} sdf={s}", cached_check("gsdf", N))
+                )
+    return checked, violations, {}, {"max_n": max_n, "extra": "products of prime fields"}
+
+
+def _suite_maximal_prime(params):
+    """Every maximal gsdf-absorbing submodule is prime."""
+    checked = 0
+    violations = []
+    confirmations = {}
+    for M in default_family():
+        lat = all_submodules(M)
+        gsdf = [N for N in lat.proper if cached_check("gsdf", N).holds]
+        for N in lat.maximal_members(gsdf):
+            checked += 1
+            rep = cached_check("prime", N)
+            if not rep.holds:
+                violations.append((f"{M.name}: N={N.describe()}", rep))
+        if isinstance(M, RingAsModule) and isinstance(M.ring, ZMod) and M.ring.n == 12:
+            confirmations["z12_maximal_gsdf"] = sorted(
+                N.describe() for N in lat.maximal_members(gsdf)
+            )
+    return checked, violations, confirmations, {"family": "default"}
+
+
+def _suite_decomposition(params):
+    """Every proper submodule of Z_n admits a gsdf-absorbing decomposition."""
+    max_n = params.get("max_n", 100)
+    checked = 0
+    violations = []
+    confirmations = {}
+    for n in range(2, max_n + 1):
+        M = zn_module(n)
+        lat = all_submodules(M)
+        for N in lat.proper:
+            checked += 1
+            rep = decomposition_check(N, lat)
+            if not rep.holds:
+                violations.append((f"Z{n}: N={N.describe()}", None))
+    # the Z24 non-uniqueness instance: (12) = (3) cap (4) = (6) cap (4)
+    M24 = zn_module(24)
+    n12 = span(M24, [12])
+    i34 = intersect_submodules(span(M24, [3]), span(M24, [4]))
+    i64 = intersect_submodules(span(M24, [6]), span(M24, [4]))
+    confirmations["z24_two_decompositions"] = (
+        i34 == n12
+        and i64 == n12
+        and all(cached_check("gsdf", span(M24, [d])).holds for d in (3, 4, 6))
+    )
+    return checked, violations, confirmations, {"max_n": max_n}
+
+
+def _suite_principal_ideal(params):
+    """For a principal ideal I, N proper in IM is gsdf-absorbing in IM iff
+    (N :_M I) is gsdf-absorbing in M."""
+    from .modules import SubcarrierModule
+
+    max_n = params.get("max_n", 40)
+    checked = 0
+    violations = []
+    for n in range(2, max_n + 1):
+        M = zn_module(n)
+        for d in range(2, n):
+            if n % d:
+                continue
+            # I = (d); IM has carrier dZ_n
+            IM = SubcarrierModule(M, range(0, n, d), name=f"({d})Z{n}")
+            for N in all_submodules(IM).proper:
+                checked += 1
+                lifted = Submodule(M, [IM.to_base(i) for i in N.indices], _trusted=True)
+                colon = colon_submodule(lifted, d)
+                lhs = cached_check("gsdf", N).holds
+                rhs = cached_check("gsdf", colon).holds
+                if lhs != rhs:
+                    violations.append(
+                        (f"Z{n}, I=({d}): N={N.describe()} in-IM={lhs} colon={rhs}",
+                         cached_check("gsdf", N)),
+                    )
+    return checked, violations, {}, {"max_n": max_n}
+
+
+def _suite_localization(params):
+    """Localization both ways: gsdf passes to S^-1 N when it stays proper,
+    and comes back when N is S-saturated."""
+    ring_ns = params.get("ring_ns", (12, 24))
+    checked = 0
+    skipped_degenerate = 0
+    violations = []
+    confirmations = {}
+    for n in ring_ns:
+        M = zn_module(n)
+        lat = all_submodules(M)
+        loc_cache: dict[int, object] = {}
+        for S in all_multiplicative_sets(M.ring):
+            try:
+                t = S.product
+                e = M.ring.stable_idempotent_raw(t)
+                if e not in loc_cache:
+                    loc_cache[e] = localize_module(M, S)
+                locm = loc_cache[e]
+            except DegenerateLocalizationError:
+                skipped_degenerate += 1
+                continue
+            full_loc = (1 << locm.module.order) - 1
+            for N in lat.proper:
+                checked += 1
+                sn = localize_submodule(N, locm)
+                n_gsdf = cached_check("gsdf", N).holds
+                if sn.mask != full_loc:
+                    if n_gsdf and not cached_check("gsdf", sn).holds:
+                        violations.append(
+                            (f"Z{n}, S={S}: S^-1N not gsdf for N={N.describe()}",
+                             cached_check("gsdf", sn)),
+                        )
+                    if (
+                        not n_gsdf
+                        and cached_check("gsdf", sn).holds
+                        and saturate(N, S) == N
+                    ):
+                        violations.append(
+                            (f"Z{n}, S={S}: saturated N={N.describe()} not gsdf", None)
+                        )
+        if n == 12:
+            inst = localize_module(M, MultiplicativeSet(M.ring, [4]))
+            confirmations["z12_s14"] = {
+                "idempotent": inst.ring.idempotent,
+                "ring_order": inst.ring.ring.order,
+            }
+    return checked, violations, confirmations, {
+        "ring_ns": ring_ns,
+        "degenerate_skipped": skipped_degenerate,
+    }
+
+
+def _suite_epimorphism(params):
+    """Along a module epimorphism: images of gsdf submodules containing the
+    kernel are gsdf; preimages of gsdf submodules are gsdf when proper."""
+    max_n = params.get("max_n", 60)
+    checked = 0
+    violations = []
+    for M in zn_family(max_n):
+        lat = all_submodules(M)
+        for K in lat.proper:
+            Q, proj = quotient_module(M, K)
+            qlat = all_submodules(Q)
+            for N in lat.proper:
+                if K.mask & ~N.mask:
+                    continue
+                checked += 1
+                if cached_check("gsdf", N).holds:
+                    img = proj.image_submodule(N)
+                    if not cached_check("gsdf", img).holds:
+                        violations.append(
+                            (f"{M.name}/{K.describe()}: image of N={N.describe()}",
+                             cached_check("gsdf", img)),
+                        )
+            for NP in qlat.proper:
+                checked += 1
+                if cached_check("gsdf", NP).holds:
+                    pre = proj.preimage_submodule(NP)
+                    if pre.is_proper and not cached_check("gsdf", pre).holds:
+                        violations.append(
+                            (f"{M.name}/{K.describe()}: preimage of N'={NP.describe()}",
+                             cached_check("gsdf", pre)),
+                        )
+    return checked, violations, {}, {"max_n": max_n}
+
+
+def _suite_restriction_quotient(params):
+    """Restriction to a smaller module and passage to quotients: N cap M1 is
+    gsdf in M1 <= M2, and N gsdf <=> N/K gsdf."""
+    from .constructions import quotient_submodule
+    from .modules import SubcarrierModule
+
+    max_n = params.get("max_n", 60)
+    checked = 0
+    violations = []
+    for M in zn_family(max_n):
+        lat = all_submodules(M)
+        gsdf_members = [N for N in lat.proper if cached_check("gsdf", N).holds]
+        for P in lat.members:
+            if P.order < 2:
+                continue
+            M1 = SubcarrierModule(M, P.indices)
+            for N in gsdf_members:
+                inter = N.mask & P.mask
+                if inter == P.mask:
+                    continue  # N cap M1 = M1, not proper
+                checked += 1
+                NN = Submodule(M1, [M1.from_base(i) for i in indices_of(inter)], _trusted=True)
+                if not cached_check("gsdf", NN).holds:
+                    violations.append(
+                        (f"{M.name}: ({N.describe()} cap {P.describe()}) in M1", None)
+                    )
+        for K in lat.proper:
+            for N in lat.proper:
+                if K.mask & ~N.mask:
+                    continue
+                checked += 1
+                NK = quotient_submodule(N, K)
+                if cached_check("gsdf", N).holds != cached_check("gsdf", NK).holds:
+                    violations.append(
+                        (f"{M.name}: N={N.describe()} K={K.describe()} quotient mismatch", None)
+                    )
+    return checked, violations, {}, {"max_n": max_n}
+
+
+def _suite_intersection(params):
+    """Intersections of gsdf pairs whose colon radicals agree outside the
+    intersection stay gsdf; the hypothesis is necessary (Z21 instance)."""
+    max_n = params.get("max_n", 30)
+    checked = 0
+    skipped = 0
+    violations = []
+    confirmations = {}
+    rad_cache: dict = {}
+
+    def colon_radical_mask(N, x):
+        key = (N.module.signature, N.mask, x)
+        if key not in rad_cache:
+            rad_cache[key] = radical(
+                Submodule(
+                    N.module.ring.as_module,
+                    [t for t in range(N.module.ring.order) if N.contains(N.module.act(t, x))],
+                    _trusted=True,
+                )
+            ).mask
+        return rad_cache[key]
+
+    for M in zn_family(max_n):
+        lat = all_submodules(M)
+        gsdf_members = [N for N in lat.proper if cached_check("gsdf", N).holds]
+        for i, N1 in enumerate(gsdf_members):
+            for N2 in gsdf_members[i:]:
+                inter_mask = N1.mask & N2.mask
+                hypothesis = all(
+                    colon_radical_mask(N1, x) == colon_radical_mask(N2, x)
+                    for x in range(M.order)
+                    if not inter_mask >> x & 1
+                )
+                if not hypothesis:
+                    skipped += 1
+                    continue
+                checked += 1
+                inter = Submodule(M, indices_of(inter_mask), _trusted=True)
+                if not cached_check("gsdf", inter).holds:
+                    violations.append(
+                        (f"{M.name}: {N1.describe()} cap {N2.describe()}", None)
+                    )
+    # Z21 counterexample: (3) cap (7) = (0) is not gsdf; the quoted witness
+    # (5,2,2) replays as a genuine violation
+    M21 = zn_module(21)
+    z = zero_submodule(M21)
+    rep = cached_check("gsdf", z)
+    confirmations["z21_intersection_fails"] = not rep.holds
+    confirmations["z21_scan_witness"] = rep.witness.as_tuple() if rep.witness else None
+    confirmations["z21_witness_5_2_2_replays"] = replay_witness("gsdf", z, 5, 2, 2)
+    confirmations["z21_factors_gsdf"] = (
+        cached_check("gsdf", span(M21, [3])).holds
+        and cached_check("gsdf", span(M21, [7])).holds
+    )
+    return checked, violations, confirmations, {"max_n": max_n, "hypothesis_skipped": skipped}
+
+
+def _suite_chain_union(params):
+    """The top (= union) of every maximal chain of gsdf-absorbing submodules
+    is gsdf-absorbing."""
+    max_n = params.get("max_n", 60)
+    checked = 0
+    violations = []
+    for M in zn_family(max_n):
+        lat = all_submodules(M)
+        gsdf_members = [N for N in lat.proper if cached_check("gsdf", N).holds]
+        for chain in _maximal_chains(gsdf_members):
+            checked += 1
+            union_mask = 0
+            for N in chain:
+                union_mask |= N.mask
+            top = chain[-1]
+            if union_mask != top.mask or not cached_check("gsdf", top).holds:
+                violations.append(
+                    (f"{M.name}: chain top {top.describe()}", None)
+                )
+    return checked, violations, {}, {"max_n": max_n}
+
+
+def _maximal_chains(members):
+    """All maximal chains in a small poset of submodules (by inclusion)."""
+    below = {
+        id(N): [P for P in members if P.mask != N.mask and P.mask & ~N.mask == 0]
+        for N in members
+    }
+    tops = [N for N in members if not any(N.mask & ~P.mask == 0 and N.mask != P.mask for P in members)]
+    chains = []
+
+    def extend(chain):
+        last = chain[0]
+        preds = [
+            P
+            for P in below[id(last)]
+            if not any(P.mask & ~Q.mask == 0 and P.mask != Q.mask for Q in below[id(last)])
+        ]
+        if not preds:
+            chains.append(chain)
+            return
+        for P in preds:
+            extend([P] + chain)
+
+    for t in tops:
+        extend([t])
+    return chains
+
+
+def _suite_product(params):
+    """Products: N1 x N2 gsdf forces both factors gsdf; N1 x M2 (and
+    M1 x N2) is gsdf iff the proper factor is; plus the two known failures
+    of the converse for N1 x N2."""
+    max_ab = params.get("max_ab", 12)
+    checked = 0
+    violations = []
+    confirmations = {}
+    for P in product_family(max_ab):
+        m1, m2 = P.m1, P.m2
+        lat1 = [N for N in all_submodules(m1).members]
+        lat2 = [N for N in all_submodules(m2).members]
+        full1 = full_submodule(m1)
+        full2 = full_submodule(m2)
+        for N1 in lat1:
+            for N2 in lat2:
+                if not N1.is_proper and not N2.is_proper:
+                    continue
+                NP = product_submodule(P, N1, N2)
+                prod_gsdf = cached_check("gsdf", NP).holds
+                checked += 1
+                if N1.is_proper and N2.is_proper:
+                    # part (1): product gsdf forces both factors gsdf
+                    if prod_gsdf and not (
+                        cached_check("gsdf", N1).holds and cached_check("gsdf", N2).holds
+                    ):
+                        violations.append(
+                            (f"{P.name}: {N1.describe()} x {N2.describe()} part(1)", None)
+                        )
+                elif N2 == full2:
+                    if prod_gsdf != cached_check("gsdf", N1).holds:
+                        violations.append(
+                            (f"{P.name}: {N1.describe()} x M2 part(2)", None)
+                        )
+                elif N1 == full1:
+                    if prod_gsdf != cached_check("gsdf", N2).holds:
+                        violations.append(
+                            (f"{P.name}: M1 x {N2.describe()} part(3)", None)
+                        )
+    # counterexample 1: zero submodule of Z10 x Z9 (both factors gsdf)
+    R90 = make_zmod(90)
+    P109 = ProductModule(CyclicModule(R90, 10), CyclicModule(R90, 9))
+    z109 = zero_submodule(P109)
+    rep = cached_check("gsdf", z109)
+    wx = P109.literal_to_index((2, 3))
+    confirmations["z10xz9_not_gsdf"] = not rep.holds
+    confirmations["z10xz9_witness_replays"] = replay_witness("gsdf", z109, 4, 1, wx)
+    # counterexample 2: zero x zero over Z3 x Z3 (characteristic 2n-1 = 3,
+    # n = 2), with u = (2,2), v = (1,2) violating
+    R33 = ProductRing(make_zmod(3), make_zmod(3))
+    M33 = R33.as_module
+    z33 = zero_submodule(M33)
+    u = R33.literal_to_index((2, 2))
+    v = R33.literal_to_index((1, 2))
+    x = R33.literal_to_index((1, 1))
+    confirmations["z3xz3_not_gsdf"] = not cached_check("gsdf", z33).holds
+    confirmations["z3xz3_char_witness_replays"] = replay_witness("gsdf", z33, u, v, x)
+    return checked, violations, confirmations, {"max_ab": max_ab}
+
+
+def _suite_idealization(params):
+    """Idealization: sqrt(I x N) = sqrt(I) x M; I x N sdf-primary forces I
+    sdf-primary; I sdf-primary <=> I x M sdf-primary; plus the two set-wise
+    examples on non-ideal subsets."""
+    ns = params.get("ns", (2, 3, 4, 6, 8))
+    checked = 0
+    violations = []
+    confirmations = {}
+    for n in ns:
+        R = make_zmod(n)
+        M = R.as_module
+        A = IdealizationRing(R, M)
+        AM = A.as_module
+        ideals = all_submodules(M).members
+        full_ring = (1 << A.order) - 1
+        for I in ideals:
+            for N in ideals:
+                subset, is_ideal = idealization_subset(A, I, N)
+                if not is_ideal or subset.mask == full_ring:
+                    continue
+                IN = Submodule(AM, subset.indices, _trusted=True)
+                checked += 1
+                # radical identity
+                want = {r * M.order + x for r in radical(I).indices for x in range(M.order)}
+                if set(radical(IN).indices) != want:
+                    violations.append((f"Z{n}: sqrt(({I.describe()}) x {N.describe()})", None))
+                # Prop (1): I x N sdf-primary => I sdf-primary
+                if cached_check("sdfprimary", IN).holds and I.is_proper:
+                    if not cached_check("sdfprimary", I).holds:
+                        violations.append(
+                            (f"Z{n}: Prop(1) {I.describe()} x {N.describe()}", None)
+                        )
+            # Prop (2): I sdf-primary <=> I x M sdf-primary
+            if I.is_proper:
+                checked += 1
+                IM = Submodule(
+                    AM,
+                    [r * M.order + x for r in I.indices for x in range(M.order)],
+                    _trusted=True,
+                )
+                if cached_check("sdfprimary", I).holds != cached_check("sdfprimary", IM).holds:
+                    violations.append((f"Z{n}: Prop(2) I={I.describe()}", None))
+    # set-wise example: (3) x (2) in Z6 x Z6 is not an ideal and fails the
+    # sdf-primary condition; the quoted witness has first components (2,1)
+    # and (5,0)
+    R6 = make_zmod(6)
+    A6 = IdealizationRing(R6, R6.as_module)
+    subset, is_ideal = idealization_subset(A6, span(R6.as_module, [3]), span(R6.as_module, [2]))
+    rep = setwise_sdf_primary(subset)
+    u = A6.literal_to_index((2, 1))
+    v = A6.literal_to_index((5, 0))
+    confirmations["z6_3x2_is_ideal"] = is_ideal
+    confirmations["z6_3x2_setwise_holds"] = rep.holds
+    confirmations["z6_3x2_witness_replays"] = _replay_setwise(subset, u, v)
+    # the 42Z-style example: (2) x (0) in Z42 x Z42 satisfies the set-wise
+    # sdf-primary condition even though (0) is not gsdf in Z42
+    R42 = make_zmod(42)
+    A42 = IdealizationRing(R42, R42.as_module)
+    s42, ideal42 = idealization_subset(A42, span(R42.as_module, [2]), zero_submodule(R42.as_module))
+    z42 = zero_submodule(R42.as_module)
+    confirmations["z42_2x0_is_ideal"] = ideal42
+    confirmations["z42_2x0_setwise_holds"] = setwise_sdf_primary(s42).holds
+    confirmations["z42_zero_not_gsdf"] = not cached_check("gsdf", z42).holds
+    confirmations["z42_witness_5_2_2_replays"] = replay_witness("gsdf", z42, 5, 2, 2)
+    return checked, violations, confirmations, {"ns": ns}
+
+
+def _replay_setwise(S: RingSubset, u: int, v: int) -> bool:
+    R = S.ring
+    d, s = R.sub(u, v), R.add(u, v)
+    return (
+        S.contains(R.mul(d, s))
+        and not S.contains(d)
+        and not any(S.contains(p) for p in R.power_orbit_raw(s)[2])
+    )
+
+
+def _suite_amalgamation(params):
+    """N1 join J M2 is gsdf in the amalgamated module iff N1 is gsdf in M1;
+    the corresponding fact for the second-component submodules is swept and
+    recorded without being asserted."""
+    ring_ns = params.get("ring_ns", (6, 12))
+    checked = 0
+    violations = []
+    n2bar_agrees = 0
+    n2bar_total = 0
+    from .constructions import amalg_submodule_n2
+
+    for AM, m1, J, desc in amalgamation_instances(ring_ns):
+        for N1 in all_submodules(m1).proper:
+            checked += 1
+            joined = amalg_submodule_n1(AM, N1)
+            lhs = cached_check("gsdf", joined).holds
+            rhs = cached_check("gsdf", N1).holds
+            if lhs != rhs:
+                violations.append((f"{desc}: N1={N1.describe()} join={lhs} base={rhs}", None))
+        for N2 in all_submodules(AM.m2).proper:
+            bar = amalg_submodule_n2(AM, N2)
+            if not bar.is_proper:
+                continue
+            n2bar_total += 1
+            if cached_check("gsdf", bar).holds == cached_check("gsdf", N2).holds:
+                n2bar_agrees += 1
+    confirmations = {"n2bar_agrees": n2bar_agrees, "n2bar_total": n2bar_total}
+    return checked, violations, confirmations, {"ring_ns": ring_ns}
+
+
+_CATALOG = {
+    "eq-equivalence": (
+        "the four characterizations of gsdf-absorbing are equivalent",
+        _suite_eq_equivalence,
+    ),
+    "unit2": ("2 a unit: gsdf-absorbing = classical primary", _suite_unit2),
+    "char2": ("characteristic 2: every proper submodule is gsdf-absorbing", _suite_char2),
+    "reduced-zero": (
+        "reduced module: (0) gsdf-absorbing iff sdf-absorbing",
+        _suite_reduced_zero,
+    ),
+    "vnr": ("von Neumann regular: gsdf-absorbing = sdf-absorbing", _suite_vnr),
+    "maximal-prime": ("maximal gsdf-absorbing submodules are prime", _suite_maximal_prime),
+    "decomposition": (
+        "every proper submodule admits a gsdf-absorbing decomposition",
+        _suite_decomposition,
+    ),
+    "principal-ideal": (
+        "N gsdf in IM iff (N : I) gsdf in M, for principal I",
+        _suite_principal_ideal,
+    ),
+    "localization": ("gsdf transfers along localization", _suite_localization),
+    "epimorphism": ("gsdf transfers along epimorphisms", _suite_epimorphism),
+    "restriction-quotient": (
+        "gsdf restricts to submodules and passes to/from quotients",
+        _suite_restriction_quotient,
+    ),
+    "intersection": (
+        "gsdf intersections under the matching-radical hypothesis",
+        _suite_intersection,
+    ),
+    "chain-union": ("unions of chains of gsdf submodules are gsdf", _suite_chain_union),
+    "product": ("gsdf behavior of product submodules", _suite_product),
+    "idealization": ("sdf-primary transfer through idealizations", _suite_idealization),
+    "amalgamation": ("gsdf transfer through amalgamated modules", _suite_amalgamation),
+}
+
+SUITE_IDS = tuple(_CATALOG)
+
+
+def run_suite(suite_id: str, params: dict | None = None) -> SuiteReport:
+    if suite_id not in _CATALOG:
+        raise UnknownSuiteError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    statement, fn = _CATALOG[suite_id]
+    t0 = time.perf_counter()
+    checked, violations, confirmations, parameters = fn(params or {})
+    return SuiteReport(
+        suite_id=suite_id,
+        statement=statement,
+        instances_checked=checked,
+        violations=violations,
+        elapsed=time.perf_counter() - t0,
+        parameters=parameters,
+        confirmations=confirmations,
+    )
