@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -199,8 +200,11 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     if args.max < 2:
         raise AbsorbError("--max must be at least 2")
+    if args.jobs < 1:
+        raise AbsorbError("--jobs must be at least 1")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     start = time.perf_counter()
-    result = classify_zn(args.max, jobs=args.jobs)
+    result = classify_zn(args.max, jobs=jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     columns = ["n", "factorization", "gsdf", "predicted", "match"]
     rows = [
@@ -266,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify gsdf(0 <= Z_n) for n up to --max")
     p.add_argument("--max", type=int, required=True, help="largest n (inclusive)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
+    )
     common(p)
     p.set_defaults(func=cmd_classify)
     return parser

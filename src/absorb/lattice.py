@@ -4,17 +4,10 @@ counterexample hunts)."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SizeBoundError
-from .modules import (
-    FiniteModule,
-    Submodule,
-    full_submodule,
-    indices_of,
-    intersect_submodules,
-    span_mask,
-)
+from .modules import FiniteModule, Submodule, indices_of
 from .predicates import PROPERTY_CHECKS, PropertyReport
 
 DEFAULT_LATTICE_BOUND = 2048
@@ -34,10 +27,6 @@ class SubmoduleLattice:
     @property
     def proper(self) -> list[Submodule]:
         return [N for N in self.members if N.is_proper]
-
-    def filter_by(self, prop: str, **kwargs) -> list[Submodule]:
-        check = PROPERTY_CHECKS[prop]
-        return [N for N in self.proper if check(N, **kwargs).holds]
 
     def maximal_members(self, members=None) -> list[Submodule]:
         """Members of the given collection not strictly below another one."""
@@ -72,10 +61,13 @@ def all_submodules(M: FiniteModule, bound: int | None = None) -> SubmoduleLattic
         for c in cyclic:
             if c & ~base == 0:
                 continue
-            joined = 0
-            for i in belems:
-                for j in indices_of(c):
-                    joined |= 1 << add(i, j)
+            # base + Rx is the union of the cosets base + j, j in Rx; each
+            # coset not yet in the join is added once
+            joined = base
+            for j in indices_of(c & ~base):
+                if not joined >> j & 1:
+                    for i in belems:
+                        joined |= 1 << add(i, j)
             if joined not in seen:
                 seen.add(joined)
                 frontier.append(joined)
@@ -154,17 +146,6 @@ def decomposition_check(N: Submodule, lattice: SubmoduleLattice | None = None) -
                 break
         return DecompositionReport(N, True, tuple(factors))
     return DecompositionReport(N, False)
-
-
-@dataclass
-class FamilySpec:
-    """A named generator of (module, lattice) pairs used by the suites."""
-
-    name: str
-    builder: object  # zero-arg callable yielding FiniteModule instances
-
-    def modules(self):
-        return self.builder()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ from .rings import TABULATE_BOUND, FiniteRing, RingElt, RingHom, ZMod
 ACTION_EXHAUSTIVE_COST = 60000
 ACTION_SAMPLE_COUNT = 1000
 _SAMPLE_SEED = 0xB0B
+# hit-row targets kept per module: a submodule's mask and the zero mask
+# (for sdf's annihilator rows), with room for the previous submodule's
+HIT_ROW_CACHE_SIZE = 4
 
 
 def mask_of(indices) -> int:
@@ -139,17 +142,32 @@ class FiniteModule:
     def same_module(self, other: "FiniteModule") -> bool:
         return self is other or self.signature == other.signature
 
-    def scalar_hit_masks(self, target_mask: int) -> list[int]:
-        """For each scalar t, the bit mask of {x : t.x lands in target_mask}."""
-        act = self.act
-        nm = self.order
-        rows = []
-        for t in range(self.ring.order):
-            m = 0
-            for x in range(nm):
-                if target_mask >> act(t, x) & 1:
-                    m |= 1 << x
-            rows.append(m)
+    def scalar_hit_masks(self, target_mask: int) -> tuple[int, ...]:
+        """For each scalar t, the bit mask of {x : t.x lands in target_mask}.
+
+        Cache scopes: the rows are cached per module object, for the 4
+        (``HIT_ROW_CACHE_SIZE``) most recently requested targets, so the
+        scanners deciding several properties of one submodule build them
+        once; every caller gets the same read-only tuple.  The lattice that
+        ``all_submodules`` caches on a module is unbounded but lives and dies
+        with that module.  ``make_zmod`` shares Z_n instances, and so their
+        caches, across the whole process."""
+        cache = self.__dict__.setdefault("_hit_rows", {})
+        rows = cache.pop(target_mask, None)
+        if rows is None:
+            act = self.act
+            nm = self.order
+            out = []
+            for t in range(self.ring.order):
+                m = 0
+                for x in range(nm):
+                    if target_mask >> act(t, x) & 1:
+                        m |= 1 << x
+                out.append(m)
+            rows = tuple(out)
+            if len(cache) >= HIT_ROW_CACHE_SIZE:
+                del cache[next(iter(cache))]  # least recently used
+        cache[target_mask] = rows
         return rows
 
     def __repr__(self):
@@ -670,11 +688,6 @@ def span(M: FiniteModule, gens) -> Submodule:
 
 def cyclic_submodule(M: FiniteModule, x: int) -> Submodule:
     return span(M, [x])
-
-
-def submodule_of_zmod(M: FiniteModule, d: int) -> Submodule:
-    """The submodule generated by d in a Z_n-like cyclic module."""
-    return span(M, [M.literal_to_index(d)])
 
 
 def _as_modelt(M: FiniteModule, x) -> int:

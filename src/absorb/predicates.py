@@ -15,17 +15,15 @@ few integer operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CrossStructureError
 from .modules import (
     FiniteModule,
-    RingAsModule,
     Submodule,
+    _require_ideal,
     colon_ideal_global,
     mask_of,
     radical,
-    zero_submodule,
 )
 
 
@@ -216,12 +214,6 @@ def is_prime_submodule(N: Submodule) -> PropertyReport:
     return PropertyReport("prime", True, None, checked)
 
 
-def _require_ideal(I: Submodule):
-    if not isinstance(I.module, RingAsModule):
-        raise CrossStructureError("expected an ideal of a ring")
-    return I.module.ring
-
-
 def is_sdf_absorbing_ideal(I: Submodule) -> PropertyReport:
     """For nonzero u, v: u^2 - v^2 in I implies u + v in I or u - v in I."""
     R = _require_ideal(I)
@@ -315,6 +307,19 @@ def replay_witness(prop: str, N: Submodule, u: int, v: int, x: int | None = None
         return N.contains(act(R.mul(u, v), x)) and not N.contains(act(u, x)) and not any(
             N.contains(act(p, x)) for p in R.power_orbit_raw(v)[2]
         )
+    if prop == "prime":
+        act = M.act
+        return (
+            N.contains(act(u, x))
+            and not N.contains(x)
+            and not all(N.contains(act(u, y)) for y in range(M.order))
+        )
+    if prop == "primary":
+        return (
+            N.contains(M.act(u, x))
+            and not N.contains(x)
+            and not radical(colon_ideal_global(N)).contains(u)
+        )
     if prop == "sdfideal":
         return (
             u != R.zero
@@ -330,17 +335,6 @@ def replay_witness(prop: str, N: Submodule, u: int, v: int, x: int | None = None
             and not any(N.contains(p) for p in orbit)
         )
     raise KeyError(f"no replay rule for property {prop!r}")
-
-
-def exists_power_in(t, x, N: Submodule) -> tuple[bool, int | None]:
-    """Whether t^k . x lies in N for some k >= 1, and the least such k."""
-    M = N.module
-    ti = t.index if hasattr(t, "index") else int(t)
-    xi = x.index if hasattr(x, "index") else int(x)
-    for k, p in enumerate(M.ring.power_orbit_raw(ti)[2], start=1):
-        if N.contains(M.act(p, xi)):
-            return True, k
-    return False, None
 
 
 class RingSubset:

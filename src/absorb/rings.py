@@ -577,10 +577,6 @@ def reduction_hom(src: ZMod, dst: ZMod) -> RingHom:
     return RingHom(src, dst, [i % dst.n for i in range(src.n)], name="redmap")
 
 
-def quotient_projection(qring: QuotientRing) -> RingHom:
-    return RingHom(qring.base, qring, qring._proj, name="proj")
-
-
 # -- convenience wrappers --------------------------------------------------
 
 
@@ -597,12 +593,6 @@ def product_ring(r1: FiniteRing, r2: FiniteRing) -> ProductRing:
 
 def units(r: FiniteRing) -> set[RingElt]:
     return {r.elt(u) for u in r.units_raw()}
-
-
-def power_orbit(t: RingElt):
-    """(preperiod, period, orbit) for the power sequence t, t^2, ..."""
-    pre, per, seq = t.ring.power_orbit_raw(t.index)
-    return pre, per, [t.ring.elt(i) for i in seq]
 
 
 def stable_idempotent(t: RingElt) -> RingElt:

@@ -2,6 +2,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -136,6 +138,46 @@ def test_classify_json_schema(capsys):
     doc = json.loads(out)
     assert doc["command"] == "classify" and doc["mismatches"] == 0
     assert len(doc["table"]["rows"]) == 9
+
+
+def _record_pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by a serial stand-in that records the
+    worker count it was asked for, so no process is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(i) for i in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+def test_classify_jobs_below_one_exit_2(capsys, monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch)
+    for jobs in ("0", "-3"):
+        code, _, err = run_cli(capsys, "classify", "--max", "10", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err
+    assert sizes == []
+
+
+def test_classify_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out, _ = run_cli(
+        capsys, "classify", "--max", "10", "--jobs", "64", "--format", "json"
+    )
+    assert code == 0 and sizes == [3]
+    assert json.loads(out)["mismatches"] == 0
 
 
 def test_classify_bad_max_exit_2(capsys):

@@ -12,8 +12,9 @@ from absorb.lattice import (
     decomposition_check,
     search_counterexample,
 )
-from absorb.modules import CyclicModule, ProductModule, span
+from absorb.modules import CyclicModule, ProductModule, indices_of, span
 from absorb.rings import IdealizationRing, make_zmod
+from absorb.specdsl import elaborate_module, parse_module_spec
 
 
 def _brute_force_submodules(M):
@@ -49,6 +50,48 @@ def test_all_submodules_matches_brute_force_idealization():
     A = IdealizationRing(make_zmod(2), make_zmod(2).as_module)
     M = A.as_module
     assert {N.mask for N in all_submodules(M).members} == _brute_force_submodules(M)
+
+
+def _pairwise_join_masks(M):
+    """Close the cyclic submodules under join-with-a-cyclic, forming each
+    join as the sum of every element of one side with every element of the
+    other."""
+    cyclic = set()
+    for x in range(M.order):
+        orbit = 0
+        for r in range(M.ring.order):
+            orbit |= 1 << M.act(r, x)
+        cyclic.add(orbit)
+    seen = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        base = frontier.pop()
+        for c in cyclic:
+            if c & ~base == 0:
+                continue
+            joined = 0
+            for i in indices_of(base):
+                for j in indices_of(c):
+                    joined |= 1 << M.add(i, j)
+            if joined not in seen:
+                seen.add(joined)
+                frontier.append(joined)
+    return seen
+
+
+WIDE_MODULES = (
+    "prod(prod(cyc(Zn(6),6),cyc(Zn(6),6)),cyc(Zn(6),6))",
+    "prod(prod(cyc(Zn(3),3),cyc(Zn(3),3)),prod(cyc(Zn(3),3),cyc(Zn(3),3)))",
+    "prod(prod(prod(cyc(Zn(2),2),cyc(Zn(2),2)),prod(cyc(Zn(2),2),cyc(Zn(2),2))),cyc(Zn(2),2))",
+    "prod(prod(cyc(Zn(4),4),cyc(Zn(4),4)),cyc(Zn(4),4))",
+    "self(prod(Zn(12),Zn(12)))",
+)
+
+
+@pytest.mark.parametrize("spec", WIDE_MODULES)
+def test_all_submodules_matches_pairwise_joins_on_wide_modules(spec):
+    M = elaborate_module(parse_module_spec(spec))
+    assert {N.mask for N in all_submodules(M).members} == _pairwise_join_masks(M)
 
 
 def _divisor_count(n):

@@ -167,14 +167,20 @@ def test_quotient_module_cosets():
 
 def test_scalar_hit_masks_definition():
     M = make_zmod(12).as_module
-    N = span(M, [4])
-    hit = M.scalar_hit_masks(N.mask)
-    for t in range(12):
-        expect = 0
-        for x in range(12):
-            if (N.mask >> M.act(t, x)) & 1:
-                expect |= 1 << x
-        assert hit[t] == expect
+    # submodule masks and two plain subsets: more targets than the row cache
+    # holds, interleaved so that some revisits hit it and some were evicted
+    targets = [span(M, [g]).mask for g in (4, 6, 3, 2, 0)] + [0b100101, 1 << 11]
+    for k in (0, 1, 0, 2, 3, 4, 5, 0, 6, 1, 5, 2, 2, 6, 3, 0, 4, 1):
+        target = targets[k]
+        hit = M.scalar_hit_masks(target)
+        assert isinstance(hit, tuple)
+        for t in range(12):
+            expect = 0
+            for x in range(12):
+                if (target >> M.act(t, x)) & 1:
+                    expect |= 1 << x
+            assert hit[t] == expect, (k, t)
+    assert M.scalar_hit_masks(targets[3]) is M.scalar_hit_masks(targets[3])
 
 
 def test_module_hom_kernel_image():

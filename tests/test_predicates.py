@@ -20,6 +20,7 @@ from absorb.predicates import (
     setwise_sdf_primary,
 )
 from absorb.rings import IdealizationRing, make_zmod
+from absorb.suites import default_family
 
 from conftest import NAIVE_ORACLES
 
@@ -166,3 +167,44 @@ def test_witness_replays_whenever_scanner_fails():
                 if not rep.holds:
                     w = rep.witness
                     assert replay_witness(prop, N, w.u, w.v, w.x), (prop, M.name)
+
+
+def test_prime_and_primary_witnesses_replay_in_z12():
+    M = make_zmod(12).as_module
+    cases = [
+        ("prime", 0, (2, 0, 6)),
+        ("primary", 0, (2, 0, 6)),
+        ("prime", 6, (2, 0, 3)),
+        ("primary", 6, (2, 0, 3)),
+        ("prime", 4, (2, 0, 2)),
+    ]
+    for prop, g, witness in cases:
+        N = span(M, [g])
+        assert check_property(prop, N).witness.as_tuple() == witness
+        assert replay_witness(prop, N, *witness), (prop, g)
+        # u = 1 never violates: u.x in N already puts x in N
+        assert not any(replay_witness(prop, N, 1, 0, x) for x in range(12))
+    # (4) is primary (sqrt((4) : Z_12) = (2)), so the 2 of the prime witness
+    # is in the radical and does not replay as a primary violation
+    assert check_property("primary", span(M, [4])).holds
+    assert not replay_witness("primary", span(M, [4]), 2, 0, 2)
+
+
+@pytest.mark.parametrize("prop", MODULE_PROPS)
+def test_every_negative_report_replays_over_default_family(prop):
+    for M in default_family():
+        for N in all_submodules(M).proper:
+            rep = check_property(prop, N)
+            if not rep.holds:
+                w = rep.witness
+                assert replay_witness(prop, N, w.u, w.v, w.x), (prop, M.name, N.indices)
+
+
+@pytest.mark.parametrize("prop", IDEAL_PROPS)
+def test_every_negative_ideal_report_replays_zn_up_to_30(prop):
+    for n in range(2, 31):
+        for I in all_submodules(make_zmod(n).as_module).proper:
+            rep = check_property(prop, I)
+            if not rep.holds:
+                w = rep.witness
+                assert replay_witness(prop, I, w.u, w.v), (prop, n, I.indices)
