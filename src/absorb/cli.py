@@ -30,7 +30,7 @@ from .specdsl import (
     parse_ring_spec,
     parse_sub_spec,
 )
-from .suites import SUITE_IDS, classify_zn, run_suite
+from .suites import SUITE_IDS, classify_zn, run_suite, size_parameter
 
 PROP_NAMES = tuple(PROPERTY_CHECKS)
 
@@ -124,6 +124,7 @@ def _load_module(args):
 
 
 def cmd_check(args) -> int:
+    start = time.perf_counter()
     M, spec = _load_module(args)
     N = elaborate_sub(parse_sub_spec(args.sub), M)
     kwargs = {}
@@ -131,7 +132,6 @@ def cmd_check(args) -> int:
         if args.prop != "sdfprimary":
             raise AbsorbError("--variant-nonzero only applies to --prop sdfprimary")
         kwargs["nonzero_only"] = True
-    start = time.perf_counter()
     report = check_property(args.prop, N, **kwargs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     doc = _document(
@@ -149,12 +149,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    start = time.perf_counter()
     M, spec = _load_module(args)
     props = [p.strip() for p in args.props.split(",") if p.strip()] if args.props else []
     for p in props:
         if p not in PROPERTY_CHECKS:
             raise AbsorbError(f"unknown property {p!r}; known: {', '.join(PROP_NAMES)}")
-    start = time.perf_counter()
     lattice = all_submodules(M)
     members = sorted(lattice.proper, key=lambda N: (len(N.indices), N.indices))
     columns = ["submodule", "order"] + props
@@ -179,7 +179,10 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     params = {}
     if args.max is not None:
-        params["max_n"] = args.max
+        knob = size_parameter(args.suite)
+        if knob is None:
+            raise AbsorbError(f"suite {args.suite!r} has no scalar size parameter for --max")
+        params[knob] = args.max
     report = run_suite(args.suite, params or None)
     doc = _document(
         "verify",
@@ -264,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_IDS)}")
-    p.add_argument("--max", type=int, help="override the suite's size parameter")
+    p.add_argument(
+        "--max", type=int, help="set the suite's scalar size parameter (see its report)"
+    )
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .rings import TABULATE_BOUND, FiniteRing, RingElt, RingHom, ZMod
 
-ACTION_EXHAUSTIVE_COST = 60000
 ACTION_SAMPLE_COUNT = 1000
 _SAMPLE_SEED = 0xB0B
 # hit-row targets kept per module: a submodule's mask and the zero mask
@@ -48,6 +47,11 @@ class FiniteModule:
     order: int
     name: str
     zero: int
+    # operation tables, set by _tabulate on small modules: add_t[i][j] = i + j,
+    # act_t[r][x] = r.x, neg_t[i] = -i
+    add_t: list[list[int]] | None = None
+    act_t: list[list[int]] | None = None
+    neg_t: list[int] | None = None
 
     def add(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -80,15 +84,16 @@ class FiniteModule:
             self._check_axioms()
 
     def _tabulate(self) -> None:
-        """Swap the structural add/act/neg for table lookups when the module
-        is small; scanners call these millions of times."""
+        """Swap the structural add/act/neg for lookups in ``add_t``, ``act_t``
+        and ``neg_t`` when the module is small; scanners call these millions
+        of times."""
         nr, nm = self.ring.order, self.order
         if nm * (nm + nr) > TABULATE_BOUND:
             return
         add, act, neg = self.add, self.act, self.neg
-        add_t = [[add(i, j) for j in range(nm)] for i in range(nm)]
-        act_t = [[act(r, x) for x in range(nm)] for r in range(nr)]
-        neg_t = [neg(i) for i in range(nm)]
+        self.add_t = add_t = [[add(i, j) for j in range(nm)] for i in range(nm)]
+        self.act_t = act_t = [[act(r, x) for x in range(nm)] for r in range(nr)]
+        self.neg_t = neg_t = [neg(i) for i in range(nm)]
         self.add = lambda i, j, _t=add_t: _t[i][j]
         self.act = lambda r, x, _t=act_t: _t[r][x]
         self.neg = lambda i, _t=neg_t: _t[i]
@@ -96,24 +101,19 @@ class FiniteModule:
 
     def _check_axioms(self) -> None:
         nr, nm = self.ring.order, self.order
-        if nr * nr * nm + nr * nm * nm <= ACTION_EXHAUSTIVE_COST:
-            scalar_triples = (
-                (r, s, x) for r in range(nr) for s in range(nr) for x in range(nm)
-            )
-            elt_triples = (
-                (r, x, y) for r in range(nr) for x in range(nm) for y in range(nm)
-            )
-        else:
-            rng = random.Random(_SAMPLE_SEED)
-            scalar_triples = (
-                (rng.randrange(nr), rng.randrange(nr), rng.randrange(nm))
-                for _ in range(ACTION_SAMPLE_COUNT)
-            )
-            rng2 = random.Random(_SAMPLE_SEED + 1)
-            elt_triples = (
-                (rng2.randrange(nr), rng2.randrange(nm), rng2.randrange(nm))
-                for _ in range(ACTION_SAMPLE_COUNT)
-            )
+        if self.act_t is not None and nr <= 256 and nm <= 256:
+            self._check_axiom_rows()
+            return
+        rng = random.Random(_SAMPLE_SEED)
+        scalar_triples = (
+            (rng.randrange(nr), rng.randrange(nr), rng.randrange(nm))
+            for _ in range(ACTION_SAMPLE_COUNT)
+        )
+        rng2 = random.Random(_SAMPLE_SEED + 1)
+        elt_triples = (
+            (rng2.randrange(nr), rng2.randrange(nm), rng2.randrange(nm))
+            for _ in range(ACTION_SAMPLE_COUNT)
+        )
         R, add, act = self.ring, self.add, self.act
         for r, s, x in scalar_triples:
             if act(R.add(r, s), x) != add(act(r, x), act(s, x)):
@@ -130,6 +130,42 @@ class FiniteModule:
                 raise InvalidConstructionError(f"{self.name}: 1x = x fails")
             if add(x, self.neg(x)) != self.zero:
                 raise InvalidConstructionError(f"{self.name}: bad negation")
+
+    def _check_axiom_rows(self) -> None:
+        """Every axiom on every triple, with the tables as bytes and no Python
+        loop over triples: ``row.translate(tab)`` is ``[tab[i] for i in row]``
+        in one C call.  Rows shorter than 256 are padded to make translate
+        tables; the padding is never read once every entry is in range."""
+        R, nm = self.ring, self.order
+        act_b = [bytes(row) for row in self.act_t]  # act_b[r][x] = r.x
+        add_b = [bytes(row) for row in self.add_t]  # add_b[x][y] = x + y
+        radd, rmul = R.op_tables()
+        if max(map(max, act_b + add_b)) >= nm or max(radd + rmul) >= R.order:
+            raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
+        pad_m = bytes(256 - nm)
+        act_tab = [row + pad_m for row in act_b]
+        add_tab = [row + pad_m for row in add_b]
+        pad_r = bytes(256 - R.order)
+        join, sums = b"".join, add_tab.__getitem__
+        for col in map(bytes, zip(*self.act_t)):  # col[r] = r.x, one per x
+            col_tab = col + pad_r
+            # over all (r, s): (r+s)x = rx + sx and (rs)x = r(sx)
+            if radd.translate(col_tab) != join(map(col.translate, map(sums, col))):
+                raise InvalidConstructionError(f"{self.name}: (r+s)x axiom fails")
+            if rmul.translate(col_tab) != join(map(col.translate, act_tab)):
+                raise InvalidConstructionError(f"{self.name}: (rs)x axiom fails")
+        add_all = join(add_b)
+        for row, tab in zip(act_b, act_tab):  # row[x] = r.x, one per r
+            # over all (x, y): r(x+y) = rx + ry
+            if add_all.translate(tab) != join(map(row.translate, map(sums, row))):
+                raise InvalidConstructionError(f"{self.name}: r(x+y) axiom fails")
+        if add_all != join(map(bytes, zip(*self.add_t))):
+            raise InvalidConstructionError(f"{self.name}: + not commutative")
+        if act_b[R.one] != bytes(range(nm)):
+            raise InvalidConstructionError(f"{self.name}: 1x = x fails")
+        neg_t = self.neg_t
+        if any(add_b[x][neg_t[x]] != self.zero for x in range(nm)):
+            raise InvalidConstructionError(f"{self.name}: bad negation")
 
     def elt(self, i: int) -> "ModElt":
         if not 0 <= i < self.order:

@@ -64,6 +64,7 @@ class FiniteRing:
         self._orbit_cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._unit_cache: frozenset[int] | None = None
         self._as_module = None
+        self._op_tables = None
         # direct modular arithmetic needs no axiom scan (the test suite
         # verifies it independently); derived constructions are scanned
         if not getattr(self, "_trusted_ops", False):
@@ -112,6 +113,18 @@ class FiniteRing:
                 raise InvalidConstructionError(f"{self.name}: bad identities")
             if add(a, self.neg(a)) != self.zero:
                 raise InvalidConstructionError(f"{self.name}: bad negation")
+
+    def op_tables(self) -> tuple[bytes, bytes]:
+        """The add and mul tables as flat bytes, ``add[i * order + j]`` being
+        i + j; only for order <= 256.  Cached on the ring: the axiom check of
+        every module over it reads them."""
+        if self._op_tables is None:
+            n, add, mul = self.order, self.add, self.mul
+            self._op_tables = (
+                bytes([add(i, j) for i in range(n) for j in range(n)]),
+                bytes([mul(i, j) for i in range(n) for j in range(n)]),
+            )
+        return self._op_tables
 
     def elt(self, i: int) -> "RingElt":
         if not 0 <= i < self.order:

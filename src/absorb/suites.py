@@ -24,7 +24,6 @@ from .modules import (
     full_submodule,
     indices_of,
     intersect_submodules,
-    m_radical,
     radical,
     span,
     zero_submodule,
@@ -917,50 +916,67 @@ def _suite_amalgamation(params):
     return checked, violations, confirmations, {"ring_ns": ring_ns}
 
 
+# suite id -> (statement, suite, the scalar size parameter `verify --max`
+# sets, or None when the size is a tuple of orders or a fixed family)
 _CATALOG = {
     "eq-equivalence": (
         "the four characterizations of gsdf-absorbing are equivalent",
         _suite_eq_equivalence,
+        "zn_max",
     ),
-    "unit2": ("2 a unit: gsdf-absorbing = classical primary", _suite_unit2),
-    "char2": ("characteristic 2: every proper submodule is gsdf-absorbing", _suite_char2),
+    "unit2": ("2 a unit: gsdf-absorbing = classical primary", _suite_unit2, "max_n"),
+    "char2": ("characteristic 2: every proper submodule is gsdf-absorbing", _suite_char2, None),
     "reduced-zero": (
         "reduced module: (0) gsdf-absorbing iff sdf-absorbing",
         _suite_reduced_zero,
+        "max_n",
     ),
-    "vnr": ("von Neumann regular: gsdf-absorbing = sdf-absorbing", _suite_vnr),
-    "maximal-prime": ("maximal gsdf-absorbing submodules are prime", _suite_maximal_prime),
+    "vnr": ("von Neumann regular: gsdf-absorbing = sdf-absorbing", _suite_vnr, "max_n"),
+    "maximal-prime": ("maximal gsdf-absorbing submodules are prime", _suite_maximal_prime, None),
     "decomposition": (
         "every proper submodule admits a gsdf-absorbing decomposition",
         _suite_decomposition,
+        "max_n",
     ),
     "principal-ideal": (
         "N gsdf in IM iff (N : I) gsdf in M, for principal I",
         _suite_principal_ideal,
+        "max_n",
     ),
-    "localization": ("gsdf transfers along localization", _suite_localization),
-    "epimorphism": ("gsdf transfers along epimorphisms", _suite_epimorphism),
+    "localization": ("gsdf transfers along localization", _suite_localization, None),
+    "epimorphism": ("gsdf transfers along epimorphisms", _suite_epimorphism, "max_n"),
     "restriction-quotient": (
         "gsdf restricts to submodules and passes to/from quotients",
         _suite_restriction_quotient,
+        "max_n",
     ),
     "intersection": (
         "gsdf intersections under the matching-radical hypothesis",
         _suite_intersection,
+        "max_n",
     ),
-    "chain-union": ("unions of chains of gsdf submodules are gsdf", _suite_chain_union),
-    "product": ("gsdf behavior of product submodules", _suite_product),
-    "idealization": ("sdf-primary transfer through idealizations", _suite_idealization),
-    "amalgamation": ("gsdf transfer through amalgamated modules", _suite_amalgamation),
+    "chain-union": ("unions of chains of gsdf submodules are gsdf", _suite_chain_union, "max_n"),
+    "product": ("gsdf behavior of product submodules", _suite_product, "max_ab"),
+    "idealization": ("sdf-primary transfer through idealizations", _suite_idealization, None),
+    "amalgamation": ("gsdf transfer through amalgamated modules", _suite_amalgamation, None),
 }
 
 SUITE_IDS = tuple(_CATALOG)
 
 
-def run_suite(suite_id: str, params: dict | None = None) -> SuiteReport:
+def _catalog_entry(suite_id: str):
     if suite_id not in _CATALOG:
         raise UnknownSuiteError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
-    statement, fn = _CATALOG[suite_id]
+    return _CATALOG[suite_id]
+
+
+def size_parameter(suite_id: str) -> str | None:
+    """The scalar size parameter of a suite, or None if it has none."""
+    return _catalog_entry(suite_id)[2]
+
+
+def run_suite(suite_id: str, params: dict | None = None) -> SuiteReport:
+    statement, fn, _ = _catalog_entry(suite_id)
     t0 = time.perf_counter()
     checked, violations, confirmations, parameters = fn(params or {})
     return SuiteReport(

@@ -4,9 +4,11 @@ import io
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
+import absorb.cli
 from absorb.cli import main
 
 
@@ -119,6 +121,40 @@ def test_verify_pass_exit_0(capsys):
 def test_verify_unknown_suite_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "unknown-suite")
     assert code == 2
+
+
+def test_verify_max_sets_the_suites_own_size_parameter(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "product", "--max", "3", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["parameters"] == {"max_ab": 3}
+    assert doc["instances_checked"] < 573  # the default max_ab = 12 checks 573
+
+
+@pytest.mark.parametrize("suite", ["idealization", "localization", "amalgamation", "char2"])
+def test_verify_max_without_scalar_size_exit_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max", "3")
+    assert code == 2 and out == ""
+    assert "--max" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--ring", "Zn(12)", "--sub", "gen[6]", "--prop", "gsdf"],
+    ["enumerate", "--ring", "Zn(12)", "--props", "gsdf"],
+])
+def test_elapsed_ms_includes_elaboration(capsys, monkeypatch, command):
+    real = absorb.cli.elaborate_module
+
+    def slow(node):
+        time.sleep(0.05)
+        return real(node)
+
+    monkeypatch.setattr(absorb.cli, "elaborate_module", slow)
+    code, out, _ = run_cli(capsys, *command, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["elapsed_ms"] >= 50
 
 
 def test_classify_csv(capsys):

@@ -2,7 +2,12 @@
 
 RingAsModule trusts the verified ring operations at construction time, so the
 first tests here re-verify the module axioms exhaustively and independently.
+The construction-time axiom check itself is tested on structures that break
+one axiom each, on its row kernel and on its sampled path.
 """
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 from absorb.errors import CrossStructureError, InvalidConstructionError, NotProperError
 from absorb.modules import (
     CyclicModule,
+    FiniteModule,
     ModuleHom,
     ProductModule,
     QuotientModule,
@@ -27,7 +33,7 @@ from absorb.modules import (
     sum_submodules,
     zero_submodule,
 )
-from absorb.rings import make_zmod
+from absorb.rings import IdealizationRing, ProductRing, ZMod, make_zmod
 
 
 def _exhaustive_module_axioms(M):
@@ -59,6 +65,151 @@ def test_cyclic_module_axioms_exhaustive():
 def test_product_module_axioms_exhaustive():
     R = make_zmod(6)
     _exhaustive_module_axioms(ProductModule(CyclicModule(R, 2), CyclicModule(R, 3)))
+
+
+def _module_axiom_failures(R, order, add, act, neg, zero=0):
+    """The messages of the axioms that fail on some triple, by naive loops
+    over plain functions (so it also runs on structures that cannot be
+    constructed)."""
+    bad = set()
+    for r in range(R.order):
+        for s in range(R.order):
+            for x in range(order):
+                if act(R.add(r, s), x) != add(act(r, x), act(s, x)):
+                    bad.add("(r+s)x axiom fails")
+                if act(R.mul(r, s), x) != act(r, act(s, x)):
+                    bad.add("(rs)x axiom fails")
+        for x in range(order):
+            for y in range(order):
+                if act(r, add(x, y)) != add(act(r, x), act(r, y)):
+                    bad.add("r(x+y) axiom fails")
+    for x in range(order):
+        if any(add(x, y) != add(y, x) for y in range(order)):
+            bad.add("+ not commutative")
+        if act(R.one, x) != x:
+            bad.add("1x = x fails")
+        if add(x, neg(x)) != zero:
+            bad.add("bad negation")
+    return bad
+
+
+class _GivenModule(FiniteModule):
+    """A module from plain functions; ``tabulate=False`` keeps it off the
+    row kernel, so the check takes its sampled path."""
+
+    def __init__(self, ring, order, add, act, neg, tabulate=True):
+        self.ring, self.order, self.name, self.zero = ring, order, "given", 0
+        self.add, self.act, self.neg = add, act, neg
+        self._tabulate_too = tabulate
+        self._finalize()
+
+    def _tabulate(self):
+        if self._tabulate_too:
+            super()._tabulate()
+
+
+def _unit_map_on_z2_squared(r, x):
+    # over Z2 x Z2 (index 2*u1 + u2): e1 acts by a non-additive idempotent P
+    # with P(x + P(x)) = 0 on Z2^2 (xor), e2 by x + P(x)
+    u1, u2 = divmod(r, 2)
+    return (x if u2 else 0) ^ ((0, 1, 0, 0)[x] if u1 ^ u2 else 0)
+
+
+def _broken_modules():
+    """message -> (ring, order, add, act, neg) breaking exactly that axiom."""
+    z2, z3, z4 = make_zmod(2), make_zmod(3), make_zmod(4)
+    xor, same = (lambda x, y: x ^ y), (lambda x: x)
+    # 1 + 2 = 1 but 2 + 1 = 2: x + x = 0 and 0 + x = x still hold
+    lopsided = ((0, 1, 2), (1, 0, 1), (2, 2, 0))
+    return {
+        # r.x = r^2 x is multiplicative and linear in x, not additive in r
+        "(r+s)x axiom fails": (z3, 3, lambda x, y: (x + y) % 3,
+                               lambda r, x: r * r * x % 3, lambda x: -x % 3),
+        # Z2[t]/(t^2) (index 2u + b for u + bt) acting on Z2 by u + b
+        "(rs)x axiom fails": (IdealizationRing(z2, z2.as_module), 2, xor,
+                              lambda r, x: ((r >> 1) ^ (r & 1)) & x, same),
+        "r(x+y) axiom fails": (ProductRing(z2, z2), 4, xor, _unit_map_on_z2_squared, same),
+        "+ not commutative": (z2, 3, lambda x, y: lopsided[x][y],
+                              lambda r, x: x if r else 0, same),
+        "1x = x fails": (z2, 2, xor, lambda r, x: 0, same),
+        "bad negation": (z4, 4, lambda x, y: (x + y) % 4, lambda r, x: r * x % 4, same),
+    }
+
+
+@pytest.mark.parametrize("tabulate", [True, False], ids=["rows", "sampled"])
+@pytest.mark.parametrize("message", sorted(_broken_modules()))
+def test_axiom_check_rejects_each_broken_axiom(message, tabulate):
+    ring, order, add, act, neg = _broken_modules()[message]
+    assert _module_axiom_failures(ring, order, add, act, neg) == {message}
+    with pytest.raises(InvalidConstructionError, match=re.escape(message)):
+        _GivenModule(ring, order, add, act, neg, tabulate=tabulate)
+
+
+def test_axiom_check_rejects_an_action_leaving_the_carrier():
+    # index 3 is not in Z3; read as a translate table it would hit padding
+    with pytest.raises(InvalidConstructionError, match="leaves its carrier"):
+        _GivenModule(make_zmod(3), 3, lambda x, y: (x + y) % 3,
+                     lambda r, x: 3 if r == 2 and x == 2 else r * x % 3, lambda x: -x % 3)
+
+
+def test_axiom_check_catches_every_single_cell_change_z6_over_z12():
+    """Over Z_n the action is forced, so a change to any one cell of the add
+    or action table of Z6 (36 + 72 cells, to each of 5 other values) breaks
+    some axiom, and the row kernel must see it."""
+
+    class Mutated(CyclicModule):
+        def __init__(self, table, cell, value):
+            self._mutation = table, cell, value
+            super().__init__(make_zmod(12), 6)
+
+        def _tabulate(self):
+            super()._tabulate()
+            table, (i, j), value = self._mutation
+            getattr(self, table)[i][j] = value
+
+    caught = 0
+    for table, rows in (("add_t", 6), ("act_t", 12)):
+        for i in range(rows):
+            for j in range(6):
+                right = (i + j) % 6 if table == "add_t" else i * j % 6
+                for value in range(6):
+                    if value == right:
+                        continue
+                    with pytest.raises(InvalidConstructionError):
+                        Mutated(table, (i, j), value)
+                    caught += 1
+    assert caught == 108 * 5
+
+
+def test_axiom_check_reads_every_cell_of_the_ring_tables():
+    """The scalar axioms compare whole tables of the ring's add and mul; a
+    wrong cell at any (r, s) must be seen, the last row and column too."""
+    for op, message in ((0, "(r+s)x axiom fails"), (1, "(rs)x axiom fails")):
+        for cell in range(12 * 12):
+            R = ZMod(12)  # a private ring: its cached tables are edited
+            tables = [bytearray(table) for table in R.op_tables()]
+            tables[op][cell] = (tables[op][cell] + 1) % 12  # differs mod 6 too
+            R._op_tables = tuple(map(bytes, tables))
+            with pytest.raises(InvalidConstructionError, match=re.escape(message)):
+                CyclicModule(R, 6)
+
+
+def test_axiom_check_is_exhaustive_on_tabulated_modules(monkeypatch):
+    """Tabulated modules are checked on every triple: building (Z6)^3 and
+    Z60/0, both beyond 60000 triples, draws no random number."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the axiom check sampled")
+
+    monkeypatch.setattr(random, "Random", no_sampling)
+    R = make_zmod(6).as_module
+    cube = ProductModule(ProductModule(R, R), R)
+    Z60 = make_zmod(60).as_module
+    quotient = QuotientModule(Z60, zero_submodule(Z60))
+    assert cube.act_t is not None and quotient.act_t is not None
+    monkeypatch.undo()
+    _exhaustive_module_axioms(cube)
+    _exhaustive_module_axioms(quotient)
 
 
 def test_cyclic_module_requires_divisor():

@@ -2,7 +2,10 @@
 
 ZMod and the ring-as-module view skip their in-constructor axiom scans for
 speed, so this file re-verifies those axioms exhaustively and independently.
+The scan itself is tested on structures that break one ring axiom each.
 """
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 from absorb.errors import InvalidConstructionError, InvalidOrderError
 from absorb.modules import span, zero_submodule
 from absorb.rings import (
+    AXIOM_EXHAUSTIVE_BOUND,
+    FiniteRing,
     ProductRing,
     QuotientRing,
     RingHom,
@@ -20,6 +25,97 @@ from absorb.rings import (
     reduction_hom,
     units,
 )
+
+
+def _ring_axiom_failures(order, add, mul, neg, one, zero=0):
+    """The messages of the ring axioms that fail on some triple (naive)."""
+    bad = set()
+    for a in range(order):
+        if mul(one, a) != a or add(zero, a) != a:
+            bad.add("bad identities")
+        if add(a, neg(a)) != zero:
+            bad.add("bad negation")
+        for b in range(order):
+            if add(a, b) != add(b, a) or mul(a, b) != mul(b, a):
+                bad.add("not commutative")
+            for c in range(order):
+                if add(add(a, b), c) != add(a, add(b, c)):
+                    bad.add("+ not associative")
+                if mul(mul(a, b), c) != mul(a, mul(b, c)):
+                    bad.add("* not associative")
+                if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+                    bad.add("not distributive")
+    return bad
+
+
+def _vectors(q, k, add, mul, neg, one):
+    """(order, add, mul, neg, one index) on Z_q^k, index = base-q digits,
+    from ops on coefficient lists; results are reduced mod q."""
+
+    def vec(i):
+        return [i // q ** (k - 1 - d) % q for d in range(k)]
+
+    def idx(v):
+        return sum(c % q * q ** (k - 1 - d) for d, c in enumerate(v))
+
+    return (
+        q**k,
+        lambda i, j: idx(add(vec(i), vec(j))),
+        lambda i, j: idx(mul(vec(i), vec(j))),
+        lambda i: idx(neg(vec(i))),
+        idx(one),
+    )
+
+
+def _each(f):
+    return lambda u, v: [f(a, b) for a, b in zip(u, v)]
+
+
+def _broken_rings(large):
+    """message -> ring ops breaking exactly that axiom; ``large`` gives an
+    order above the exhaustive bound, so the scan samples."""
+    plus, times = _each(lambda a, b: a + b), _each(lambda a, b: a * b)
+    minus = lambda v: [-a for a in v]
+    q, n = (4, 37) if large else (2, 5)
+    return {
+        # upper triangular 2x2 matrices (a b; 0 c)
+        "not commutative": _vectors(
+            q, 3, plus,
+            lambda u, v: [u[0] * v[0], u[0] * v[1] + u[1] * v[2], u[2] * v[2]],
+            minus, [1, 0, 1]),
+        # over F3, a (+) b = a + b + ab(a + b) still distributes, as a^3 = a
+        "+ not associative": _vectors(
+            3, 4 if large else 1, _each(lambda a, b: a + b + a * b * (a + b)),
+            times, minus, [1] * (4 if large else 1)),
+        # the commutative algebra with basis 1, u, w: u^2 = w, uw = u, w^2 = 0
+        "* not associative": _vectors(
+            q, 3, plus,
+            lambda u, v: [u[0] * v[0],
+                          u[0] * v[1] + u[1] * v[0] + u[1] * v[2] + u[2] * v[1],
+                          u[0] * v[2] + u[2] * v[0] + u[1] * v[1]],
+            minus, [1, 0, 0]),
+        "not distributive": _vectors(n, 1, plus, _each(min), minus, [n - 1]),
+        "bad identities": _vectors(n + 1, 1, plus, times, minus, [n]),
+        "bad negation": _vectors(n, 1, plus, times, lambda v: v, [1]),
+    }
+
+
+class _GivenRing(FiniteRing):
+    def __init__(self, order, add, mul, neg, one):
+        self.order, self.name, self.zero, self.one = order, "given", 0, one
+        self.add, self.mul, self.neg = add, mul, neg
+        self._finalize()
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("message", sorted(_broken_rings(False)))
+def test_axiom_scan_rejects_each_broken_ring_axiom(message, large):
+    order, add, mul, neg, one = ops = _broken_rings(large)[message]
+    assert (order > AXIOM_EXHAUSTIVE_BOUND) == large
+    if not large:  # the sampled instances are the same rules over bigger carriers
+        assert _ring_axiom_failures(*ops) == {message}
+    with pytest.raises(InvalidConstructionError, match=re.escape(message)):
+        _GivenRing(*ops)
 
 
 def test_zmod_matches_integer_arithmetic_exhaustively():
