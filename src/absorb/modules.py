@@ -130,6 +130,13 @@ class FiniteModule:
                 raise InvalidConstructionError(f"{self.name}: 1x = x fails")
             if add(x, self.neg(x)) != self.zero:
                 raise InvalidConstructionError(f"{self.name}: bad negation")
+        rng3 = random.Random(_SAMPLE_SEED + 2)
+        for _ in range(ACTION_SAMPLE_COUNT):
+            x, y, z = rng3.randrange(nm), rng3.randrange(nm), rng3.randrange(nm)
+            if add(add(x, y), z) != add(x, add(y, z)):
+                raise InvalidConstructionError(f"{self.name}: + not associative")
+        if any(add(self.zero, x) != x for x in range(nm)):
+            raise InvalidConstructionError(f"{self.name}: 0 + x = x fails")
 
     def _check_axiom_rows(self) -> None:
         """Every axiom on every triple, with the tables as bytes and no Python
@@ -166,6 +173,11 @@ class FiniteModule:
         neg_t = self.neg_t
         if any(add_b[x][neg_t[x]] != self.zero for x in range(nm)):
             raise InvalidConstructionError(f"{self.name}: bad negation")
+        for x, tab in enumerate(add_tab):  # over all (y, z): x + (y + z) = (x + y) + z
+            if add_all.translate(tab) != join(map(add_b.__getitem__, add_b[x])):
+                raise InvalidConstructionError(f"{self.name}: + not associative")
+        if add_b[self.zero] != bytes(range(nm)):
+            raise InvalidConstructionError(f"{self.name}: 0 + x = x fails")
 
     def elt(self, i: int) -> "ModElt":
         if not 0 <= i < self.order:

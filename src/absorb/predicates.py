@@ -1,27 +1,33 @@
 """Decision procedures for absorbing-type properties of submodules and
 ideals, with exact first-failure witnesses.
 
-Scan conventions (these pin down which witness is reported):
+Every scanner works on hit rows: for a scalar t, ``hit[t]`` is the bit mask
+of the module elements x with t.x in N, so a whole x-row is tested with a
+few integer operations.  An ideal-level or set-wise check reads the same
+condition at x = 1: its rows are one bit wide, ``hit[t] = t in I``.
 
-* Predicates whose hypothesis is symmetric in (u, v) -- the square-difference
-  family -- scan u ascending and v from 0 to u, so only the u >= v half is
-  visited; the witness is the first failure in that order, with x innermost.
-* Asymmetric predicates (primary, classical primary, prime) scan (u, v, x)
-  in plain lexicographic order.
+Three scan shapes fix which witness is reported first:
 
-Every scanner works on bit masks over module element indices: for a scalar t,
-``hit[t]`` is the mask of x with t.x in N, so a whole x-row is tested with a
-few integer operations.
+* **Square difference** (gsdf, sdf, sdf-absorbing and sdf-primary ideals,
+  the set-wise sdf-primary condition): one core, ``_sd_scan``.  The
+  hypothesis is symmetric in (u, v), so it walks u ascending and v up to u,
+  the u >= v half only, with x innermost.
+* **Classical primary**: u and v in plain lexicographic order over the
+  whole square, x innermost.
+* **Colon** (prime, primary): u ascending, x innermost; the scalars of
+  (N :_R M), or of its radical, are skipped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import NotProperError
 from .modules import (
     FiniteModule,
     Submodule,
     _require_ideal,
     colon_ideal_global,
+    indices_of,
     mask_of,
     radical,
 )
@@ -44,6 +50,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class PropertyReport:
+    """A verdict with its first-failure witness.
+
+    ``checked_count`` is the number of (u, v) pairs the scan visited times
+    |M| for the five module properties (scalars u visited times |M| for
+    prime and primary), and the number of pairs visited for the ideal-level
+    and set-wise checks.  It is not the number of x-values tested."""
+
     property: str
     holds: bool
     witness: Witness | None = None
@@ -53,19 +66,29 @@ class PropertyReport:
         return self.holds
 
 
-def _full_mask(n: int) -> int:
-    return (1 << n) - 1
+def _report(prop: str, found, checked: int, R, M: FiniteModule | None = None) -> PropertyReport:
+    """The report of a scan whose first failure is ``found`` = (u, v, x,
+    k_bound), or None.  The colon scans have no v (their witnesses carry
+    v = 0); x belongs to the witness only for module properties."""
+    if found is None:
+        return PropertyReport(prop, True, None, checked)
+    u, v, x, k = found
+    if M is None:
+        x = None
+    named = (("u", u, R), ("v", v, R), ("x", x, M))
+    text = ", ".join(f"{name}={S.describe(i)}" for name, i, S in named if i is not None)
+    return PropertyReport(prop, False, Witness(u, v or 0, x, k, text), checked)
 
 
-def _describe_uvx(M: FiniteModule, u: int, v: int, x: int) -> str:
-    R = M.ring
-    return f"u={R.describe(u)}, v={R.describe(v)}, x={M.describe(x)}"
+def _bit_rows(mask: int, n: int) -> list[int]:
+    """Hit rows at x = 1: ``rows[t]`` is 1 when t is in the subset."""
+    return [mask >> t & 1 for t in range(n)]
 
 
-def _power_reach_mask(M: FiniteModule, hit: list[int], t: int) -> int:
+def _power_reach_mask(R, hit, t: int) -> int:
     """Mask of x such that t^k . x lands in N for some k >= 1."""
     reach = 0
-    for p in M.ring.power_orbit_raw(t)[2]:
+    for p in R.power_orbit_raw(t)[2]:
         reach |= hit[p]
     return reach
 
@@ -79,36 +102,63 @@ def _first_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _sd_scan(R, hit, width: int, start: int = 0, ann=None):
+    """The square-difference scan: (u^2 - v^2).x in N implies (u - v).x in
+    N or a conclusion on u + v.  Without ``ann`` that conclusion is
+    (u + v)^k.x in N for some k >= 1, its reach cached per u + v; with
+    ``ann`` it is (u + v).x in N, and only x outside ``ann[u] | ann[v]``
+    count.  u ascends from ``start`` and v runs from ``start`` to u.
+
+    Returns the first failure (u, v, x, k_bound), or None, and the pairs
+    visited times ``width``."""
+    sub, add, mul = R.sub, R.add, R.mul
+    reach: dict[int, int] = {}
+    pairs = 0
+    for u in range(start, R.order):
+        for v in range(start, u + 1):
+            pairs += 1
+            d = sub(u, v)
+            s = add(u, v)
+            bad = hit[mul(d, s)] & ~hit[d]
+            if not bad:
+                continue
+            if ann is not None:
+                bad &= ~(hit[s] | ann[u] | ann[v])
+            else:
+                if s not in reach:
+                    reach[s] = _power_reach_mask(R, hit, s)
+                bad &= ~reach[s]
+            if bad:
+                k = 1 if ann is not None else _orbit_len(R, s)
+                return (u, v, _first_bit(bad), k), pairs * width
+    return None, pairs * width
+
+
+def _colon_scan(N: Submodule, hit, skip: int):
+    """u.x in N implies x in N, for every scalar u outside the ``skip``
+    mask.  Returns the first failure (u, None, x, None), or None, and the
+    scalars visited times |M|."""
+    M = N.module
+    outside = ~N.mask
+    for u in range(M.ring.order):
+        bad = hit[u] & outside
+        if bad and not skip >> u & 1:
+            return (u, None, _first_bit(bad), None), (u + 1) * M.order
+    return None, M.ring.order * M.order
+
+
+def _colon_mask(M: FiniteModule, hit) -> int:
+    """(N :_R M) read off the hit rows: the scalars whose row is full."""
+    full = (1 << M.order) - 1
+    return mask_of(t for t, row in enumerate(hit) if row == full)
+
+
 def is_gsdf_absorbing(N: Submodule) -> PropertyReport:
     """(u^2 - v^2).x in N implies (u - v).x in N or (u + v)^k.x in N."""
     N.require_proper()
     M = N.module
-    R = M.ring
-    hit = M.scalar_hit_masks(N.mask)
-    reach_cache: dict[int, int] = {}
-    checked = 0
-    for u in range(R.order):
-        for v in range(u + 1):
-            d = R.sub(u, v)
-            s = R.add(u, v)
-            checked += M.order
-            sq = hit[R.mul(d, s)]
-            bad = sq & ~hit[d]
-            if not bad:
-                continue
-            if s not in reach_cache:
-                reach_cache[s] = _power_reach_mask(M, hit, s)
-            bad &= ~reach_cache[s]
-            if bad:
-                x = _first_bit(bad)
-                k = _orbit_len(R, s)
-                return PropertyReport(
-                    "gsdf",
-                    False,
-                    Witness(u, v, x, k, _describe_uvx(M, u, v, x)),
-                    checked,
-                )
-    return PropertyReport("gsdf", True, None, checked)
+    found, checked = _sd_scan(M.ring, M.scalar_hit_masks(N.mask), M.order)
+    return _report("gsdf", found, checked, M.ring, M)
 
 
 def is_sdf_absorbing(N: Submodule) -> PropertyReport:
@@ -116,25 +166,10 @@ def is_sdf_absorbing(N: Submodule) -> PropertyReport:
     (u + v).x in N."""
     N.require_proper()
     M = N.module
-    R = M.ring
     hit = M.scalar_hit_masks(N.mask)
     ann = M.scalar_hit_masks(1 << M.zero)  # ann[t] = {x : t.x = 0}
-    checked = 0
-    for u in range(R.order):
-        for v in range(u + 1):
-            d = R.sub(u, v)
-            s = R.add(u, v)
-            checked += M.order
-            bad = hit[R.mul(d, s)] & ~hit[d] & ~hit[s] & ~ann[u] & ~ann[v]
-            if bad:
-                x = _first_bit(bad)
-                return PropertyReport(
-                    "sdf",
-                    False,
-                    Witness(u, v, x, 1, _describe_uvx(M, u, v, x)),
-                    checked,
-                )
-    return PropertyReport("sdf", True, None, checked)
+    found, checked = _sd_scan(M.ring, hit, M.order, ann=ann)
+    return _report("sdf", found, checked, M.ring, M)
 
 
 def is_classical_primary(N: Submodule) -> PropertyReport:
@@ -152,18 +187,12 @@ def is_classical_primary(N: Submodule) -> PropertyReport:
             if not bad:
                 continue
             if v not in reach_cache:
-                reach_cache[v] = _power_reach_mask(M, hit, v)
+                reach_cache[v] = _power_reach_mask(R, hit, v)
             bad &= ~reach_cache[v]
             if bad:
-                x = _first_bit(bad)
-                k = _orbit_len(R, v)
-                return PropertyReport(
-                    "cprimary",
-                    False,
-                    Witness(u, v, x, k, _describe_uvx(M, u, v, x)),
-                    checked,
-                )
-    return PropertyReport("cprimary", True, None, checked)
+                found = (u, v, _first_bit(bad), _orbit_len(R, v))
+                return _report("cprimary", found, checked, R, M)
+    return _report("cprimary", None, checked, R)
 
 
 def is_primary_submodule(N: Submodule) -> PropertyReport:
@@ -172,67 +201,29 @@ def is_primary_submodule(N: Submodule) -> PropertyReport:
     M = N.module
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
-    rad = radical(colon_ideal_global(N)).mask
-    checked = 0
-    for u in range(R.order):
-        checked += M.order
-        if rad >> u & 1:
-            continue
-        bad = hit[u] & ~N.mask
-        if bad:
-            x = _first_bit(bad)
-            return PropertyReport(
-                "primary",
-                False,
-                Witness(u, 0, x, None, f"u={R.describe(u)}, x={M.describe(x)}"),
-                checked,
-            )
-    return PropertyReport("primary", True, None, checked)
+    colon = Submodule(R.as_module, indices_of(_colon_mask(M, hit)), _trusted=True)
+    found, checked = _colon_scan(N, hit, radical(colon).mask)
+    return _report("primary", found, checked, R, M)
 
 
 def is_prime_submodule(N: Submodule) -> PropertyReport:
     """u x in N implies x in N or u M contained in N."""
     N.require_proper()
     M = N.module
-    R = M.ring
     hit = M.scalar_hit_masks(N.mask)
-    full = _full_mask(M.order)
-    checked = 0
-    for u in range(R.order):
-        checked += M.order
-        if hit[u] == full:
-            continue
-        bad = hit[u] & ~N.mask
-        if bad:
-            x = _first_bit(bad)
-            return PropertyReport(
-                "prime",
-                False,
-                Witness(u, 0, x, None, f"u={R.describe(u)}, x={M.describe(x)}"),
-                checked,
-            )
-    return PropertyReport("prime", True, None, checked)
+    found, checked = _colon_scan(N, hit, _colon_mask(M, hit))
+    return _report("prime", found, checked, M.ring, M)
 
 
 def is_sdf_absorbing_ideal(I: Submodule) -> PropertyReport:
-    """For nonzero u, v: u^2 - v^2 in I implies u + v in I or u - v in I."""
+    """For nonzero u, v: u^2 - v^2 in I implies u + v in I or u - v in I.
+
+    This is the sdf condition at x = 1, where Ann(1) = (0)."""
     R = _require_ideal(I)
     I.require_proper()
-    imask = I.mask
-    checked = 0
-    for u in range(1, R.order):
-        for v in range(1, u + 1):
-            d = R.sub(u, v)
-            s = R.add(u, v)
-            checked += 1
-            if imask >> R.mul(d, s) & 1 and not (imask >> s & 1 or imask >> d & 1):
-                return PropertyReport(
-                    "sdfideal",
-                    False,
-                    Witness(u, v, None, 1, f"u={R.describe(u)}, v={R.describe(v)}"),
-                    checked,
-                )
-    return PropertyReport("sdfideal", True, None, checked)
+    ann = _bit_rows(1 << R.zero, R.order)
+    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=1, ann=ann)
+    return _report("sdfideal", found, checked, R)
 
 
 def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> PropertyReport:
@@ -242,26 +233,8 @@ def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> Propert
     restricts the hypothesis to nonzero u, v."""
     R = _require_ideal(I)
     I.require_proper()
-    imask = I.mask
-    start = 1 if nonzero_only else 0
-    checked = 0
-    for u in range(start, R.order):
-        for v in range(start, u + 1):
-            d = R.sub(u, v)
-            s = R.add(u, v)
-            checked += 1
-            if not imask >> R.mul(d, s) & 1 or imask >> d & 1:
-                continue
-            if any(imask >> p & 1 for p in R.power_orbit_raw(s)[2]):
-                continue
-            k = _orbit_len(R, s)
-            return PropertyReport(
-                "sdfprimary",
-                False,
-                Witness(u, v, None, k, f"u={R.describe(u)}, v={R.describe(v)}"),
-                checked,
-            )
-    return PropertyReport("sdfprimary", True, None, checked)
+    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only))
+    return _report("sdfprimary", found, checked, R)
 
 
 PROPERTY_CHECKS = {
@@ -279,11 +252,12 @@ def check_property(prop: str, N: Submodule, **kwargs) -> PropertyReport:
     return PROPERTY_CHECKS[prop](N, **kwargs)
 
 
-def replay_witness(prop: str, N: Submodule, u: int, v: int, x: int | None = None) -> bool:
+def replay_witness(prop: str, N, u: int, v: int, x: int | None = None) -> bool:
     """True when (u, v[, x]) is a genuine violation of the property for N,
-    regardless of which witness the scanner would report first."""
-    M = N.module
-    R = M.ring
+    regardless of which witness the scanner would report first.  N is a
+    submodule, or for the ideal-level properties also a ``RingSubset``."""
+    M = None if isinstance(N, RingSubset) else N.module
+    R = N.ring if M is None else M.ring
     d, s = R.sub(u, v), R.add(u, v)
     orbit = R.power_orbit_raw(s)[2]
     if prop == "gsdf":
@@ -375,27 +349,8 @@ class RingSubset:
 
 def setwise_sdf_primary(S: RingSubset, *, nonzero_only: bool = False) -> PropertyReport:
     """The sdf-primary condition evaluated on a bare subset of R."""
-    R = S.ring
     if not S.is_proper:
-        from .errors import NotProperError
-
         raise NotProperError("subset equals the whole ring")
-    mask = S.mask
-    start = 1 if nonzero_only else 0
-    checked = 0
-    for u in range(start, R.order):
-        for v in range(start, u + 1):
-            d = R.sub(u, v)
-            s = R.add(u, v)
-            checked += 1
-            if not mask >> R.mul(d, s) & 1 or mask >> d & 1:
-                continue
-            if any(mask >> p & 1 for p in R.power_orbit_raw(s)[2]):
-                continue
-            return PropertyReport(
-                "sdfprimary",
-                False,
-                Witness(u, v, None, _orbit_len(R, s), f"u={R.describe(u)}, v={R.describe(v)}"),
-                checked,
-            )
-    return PropertyReport("sdfprimary", True, None, checked)
+    R = S.ring
+    found, checked = _sd_scan(R, _bit_rows(S.mask, R.order), 1, start=int(nonzero_only))
+    return _report("sdfprimary", found, checked, R)

@@ -259,6 +259,9 @@ class ZMod(FiniteRing):
     def neg(self, i):
         return -i % self.n
 
+    def sub(self, i, j):
+        return (i - j) % self.n
+
     def describe(self, i):
         return str(i)
 

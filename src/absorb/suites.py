@@ -20,10 +20,12 @@ from .modules import (
     ProductModule,
     RingAsModule,
     Submodule,
+    colon_ideal,
     colon_submodule,
     full_submodule,
     indices_of,
     intersect_submodules,
+    mask_of,
     radical,
     span,
     zero_submodule,
@@ -44,7 +46,6 @@ from .lattice import all_multiplicative_sets, all_submodules, decomposition_chec
 from .predicates import (
     PROPERTY_CHECKS,
     PropertyReport,
-    RingSubset,
     is_gsdf_absorbing,
     is_prime_submodule,
     is_sdf_primary_ideal,
@@ -298,30 +299,24 @@ def _suite_eq_equivalence(params):
 
     for M in modules:
         R = M.ring
-        nr, nm = R.order, M.order
-        act = M.act
-        full_m = (1 << nm) - 1
+        full_m = (1 << M.order) - 1
         for N in all_submodules(M).proper:
             checked += 1
             nmask = N.mask
-            hit = [0] * nr
-            cols = [0] * nm
-            for t in range(nr):
-                row = 0
-                for x in range(nm):
-                    if nmask >> act(t, x) & 1:
-                        row |= 1 << x
-                        cols[x] |= 1 << t
-                hit[t] = row
+            hit = M.scalar_hit_masks(nmask)
             b1 = cached_check("gsdf", N).holds
             # (2): distinct (N :_M r) with rM not inside N are submodules
-            colon_masks = {hit[t] for t in range(nr) if hit[t] != full_m}
+            colon_masks = {row for row in hit if row != full_m}
             b2 = all(
                 cached_check("gsdf", Submodule(M, indices_of(cm), _trusted=True)).holds
                 for cm in colon_masks
             )
-            # (3): distinct (N :_R x) for x outside N
-            proper_cols = {cols[x] for x in range(nm) if not nmask >> x & 1}
+            # (3): distinct (N :_R x) for x outside N, the columns of hit
+            proper_cols = {
+                mask_of(t for t, row in enumerate(hit) if row >> x & 1)
+                for x in range(M.order)
+                if not nmask >> x & 1
+            }
             b3 = all(sdfp(R, cm) for cm in proper_cols)
             # (4): <=2-generated K not inside N; (N :_R <x1,x2>) is the
             # intersection of the two element colons
@@ -656,13 +651,7 @@ def _suite_intersection(params):
     def colon_radical_mask(N, x):
         key = (N.module.signature, N.mask, x)
         if key not in rad_cache:
-            rad_cache[key] = radical(
-                Submodule(
-                    N.module.ring.as_module,
-                    [t for t in range(N.module.ring.order) if N.contains(N.module.act(t, x))],
-                    _trusted=True,
-                )
-            ).mask
+            rad_cache[key] = radical(colon_ideal(N, x)).mask
         return rad_cache[key]
 
     for M in zn_family(max_n):
@@ -862,7 +851,7 @@ def _suite_idealization(params):
     v = A6.literal_to_index((5, 0))
     confirmations["z6_3x2_is_ideal"] = is_ideal
     confirmations["z6_3x2_setwise_holds"] = rep.holds
-    confirmations["z6_3x2_witness_replays"] = _replay_setwise(subset, u, v)
+    confirmations["z6_3x2_witness_replays"] = replay_witness("sdfprimary", subset, u, v)
     # the 42Z-style example: (2) x (0) in Z42 x Z42 satisfies the set-wise
     # sdf-primary condition even though (0) is not gsdf in Z42
     R42 = make_zmod(42)
@@ -874,16 +863,6 @@ def _suite_idealization(params):
     confirmations["z42_zero_not_gsdf"] = not cached_check("gsdf", z42).holds
     confirmations["z42_witness_5_2_2_replays"] = replay_witness("gsdf", z42, 5, 2, 2)
     return checked, violations, confirmations, {"ns": ns}
-
-
-def _replay_setwise(S: RingSubset, u: int, v: int) -> bool:
-    R = S.ring
-    d, s = R.sub(u, v), R.add(u, v)
-    return (
-        S.contains(R.mul(d, s))
-        and not S.contains(d)
-        and not any(S.contains(p) for p in R.power_orbit_raw(s)[2])
-    )
 
 
 def _suite_amalgamation(params):

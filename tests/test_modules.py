@@ -86,10 +86,14 @@ def _module_axiom_failures(R, order, add, act, neg, zero=0):
     for x in range(order):
         if any(add(x, y) != add(y, x) for y in range(order)):
             bad.add("+ not commutative")
+        if any(add(add(x, y), z) != add(x, add(y, z)) for y in range(order) for z in range(order)):
+            bad.add("+ not associative")
         if act(R.one, x) != x:
             bad.add("1x = x fails")
         if add(x, neg(x)) != zero:
             bad.add("bad negation")
+        if add(zero, x) != x:
+            bad.add("0 + x = x fails")
     return bad
 
 
@@ -115,8 +119,23 @@ def _unit_map_on_z2_squared(r, x):
     return (x if u2 else 0) ^ ((0, 1, 0, 0)[x] if u1 ^ u2 else 0)
 
 
+def _steiner_loop_sum(x, y):
+    """The Steiner loop of the 12 lines of AG(2,3): 0 is the identity, points
+    1..9 are (a, b) in Z3^2, x + x = 0, and two distinct points add to the
+    third point on their line, -(x + y) in Z3^2.  It is a commutative loop,
+    and not associative since AG(2,3) is not a projective space over F2."""
+    if x == 0 or y == 0:
+        return x + y
+    if x == y:
+        return 0
+    (a, b), (c, d) = divmod(x - 1, 3), divmod(y - 1, 3)
+    return 1 + 3 * (-(a + c) % 3) + (-(b + d) % 3)
+
+
 def _broken_modules():
-    """message -> (ring, order, add, act, neg) breaking exactly that axiom."""
+    """message -> (ring, order, add, act, neg) breaking exactly that axiom,
+    apart from the lopsided + of "+ not commutative" (see
+    ``_ALSO_BROKEN``)."""
     z2, z3, z4 = make_zmod(2), make_zmod(3), make_zmod(4)
     xor, same = (lambda x, y: x ^ y), (lambda x: x)
     # 1 + 2 = 1 but 2 + 1 = 2: x + x = 0 and 0 + x = x still hold
@@ -133,14 +152,24 @@ def _broken_modules():
                               lambda r, x: x if r else 0, same),
         "1x = x fails": (z2, 2, xor, lambda r, x: 0, same),
         "bad negation": (z4, 4, lambda x, y: (x + y) % 4, lambda r, x: r * x % 4, same),
+        "+ not associative": (z2, 10, _steiner_loop_sum, lambda r, x: x if r else 0, same),
+        # Z2^2 under x + y = x ^ y ^ 1, a group whose identity is 1, not 0;
+        # Z2 acts with 0.x = 1 = x + x
+        "0 + x = x fails": (z2, 4, lambda x, y: x ^ y ^ 1, lambda r, x: x if r else 1,
+                            lambda x: x ^ 1),
     }
+
+
+# the lopsided + also breaks associativity; commutativity is checked first
+_ALSO_BROKEN = {"+ not commutative": {"+ not associative"}}
 
 
 @pytest.mark.parametrize("tabulate", [True, False], ids=["rows", "sampled"])
 @pytest.mark.parametrize("message", sorted(_broken_modules()))
 def test_axiom_check_rejects_each_broken_axiom(message, tabulate):
     ring, order, add, act, neg = _broken_modules()[message]
-    assert _module_axiom_failures(ring, order, add, act, neg) == {message}
+    assert _module_axiom_failures(ring, order, add, act, neg) == {message} | _ALSO_BROKEN.get(
+        message, set())
     with pytest.raises(InvalidConstructionError, match=re.escape(message)):
         _GivenModule(ring, order, add, act, neg, tabulate=tabulate)
 

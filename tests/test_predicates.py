@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from absorb.errors import NotProperError
 from absorb.lattice import all_submodules
-from absorb.modules import CyclicModule, ProductModule, span, zero_submodule
+from absorb.modules import CyclicModule, ProductModule, m_radical, span, zero_submodule
 from absorb.predicates import (
     PROPERTY_CHECKS,
     RingSubset,
@@ -208,3 +208,19 @@ def test_every_negative_ideal_report_replays_zn_up_to_30(prop):
             if not rep.holds:
                 w = rep.witness
                 assert replay_witness(prop, I, w.u, w.v), (prop, n, I.indices)
+
+
+def test_m_radical_is_the_intersection_of_the_primes_over_n():
+    for n in range(2, 31):
+        M = make_zmod(n).as_module
+        lattice = all_submodules(M)
+        primes = [Q for Q in lattice.proper if NAIVE_ORACLES["prime"](Q)]
+        for N in lattice.proper:
+            want = (1 << n) - 1
+            for Q in primes:
+                if N <= Q:
+                    want &= Q.mask
+            assert m_radical(N).mask == want, (n, N.indices)
+    M = make_zmod(12).as_module
+    for g, radical_gen in ((0, 6), (4, 2), (3, 3)):
+        assert m_radical(span(M, [g])) == span(M, [radical_gen])

@@ -130,6 +130,14 @@ def test_zmod_matches_integer_arithmetic_exhaustively():
                 assert R.sub(a, b) == (a - b) % n
 
 
+def test_zmod_sub_is_add_of_neg_exhaustively():
+    for n in range(2, 41):
+        R = ZMod(n)
+        for a in range(n):
+            for b in range(n):
+                assert R.sub(a, b) == R.add(a, R.neg(b)), (n, a, b)
+
+
 def test_zmod_ring_axioms_exhaustive_z12():
     R = make_zmod(12)
     n = R.order
