@@ -116,10 +116,9 @@ def _load_module(args):
     if getattr(args, "module", None):
         return elaborate_module(parse_module_spec(args.module)), args.module
     if getattr(args, "ring", None):
-        node = parse_ring_spec(args.ring)
-        return elaborate_module(
-            parse_module_spec(f"self({args.ring})")
-        ), f"self({args.ring})" if node else None
+        parse_ring_spec(args.ring)  # so a syntax error points into the ring spec
+        spec = f"self({args.ring})"
+        return elaborate_module(parse_module_spec(spec)), spec
     raise AbsorbError("a --module or --ring spec is required")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .encodings import AmalgamationCodec
 from .errors import (
     CrossStructureError,
     DegenerateLocalizationError,
@@ -207,7 +208,7 @@ def idealization_subset(A: IdealizationRing, I: Submodule, N: Submodule):
         raise CrossStructureError("first component must be an ideal of the base ring")
     if not N.module.same_module(M):
         raise CrossStructureError("second component must be a submodule of the base module")
-    idxs = [r * M.order + x for r in I.indices for x in N.indices]
+    idxs = [A.pack(r, x) for r in I.indices for x in N.indices]
     subset = RingSubset(A, idxs)
     is_ideal = all(
         N.contains(M.act(r, x)) for r in I.indices for x in range(M.order)
@@ -237,7 +238,7 @@ def j_scaled_carrier(J: Submodule, M2: FiniteModule) -> tuple[int, ...]:
     return span(M2, seeds).indices
 
 
-class AmalgamatedModule(FiniteModule):
+class AmalgamatedModule(AmalgamationCodec, FiniteModule):
     """M1 join M2 along phi over the amalgamated ring: elements
     (x1, phi(x1) + y) with y in J M2, acted on componentwise."""
 
@@ -251,27 +252,14 @@ class AmalgamatedModule(FiniteModule):
             raise InvalidConstructionError(
                 "the module hom must be semilinear along the ring amalgamation hom"
             )
-        jm2 = j_scaled_carrier(J, M2)
-        self._jm2 = jm2
-        self._rank = {c: k for k, c in enumerate(jm2)}
         self.A = A
         self.m1 = M1
         self.m2 = M2
         self.phi = phi
         self.ring = A
-        self.order = M1.order * len(jm2)
         self.name = f"{M1.name} amalg {M2.name}"
-        self.zero = M1.zero * len(jm2) + self._rank[M2.zero]
+        self._init_amalgam(M1, M2, phi, j_scaled_carrier(J, M2))
         self._finalize()
-
-    def pack(self, x1: int, y2: int) -> int:
-        """Index of the pair (x1, y2) with y2 the full second component."""
-        off = self.m2.sub(y2, self.phi(x1))
-        return x1 * len(self._jm2) + self._rank[off]
-
-    def parts(self, i: int) -> tuple[int, int]:
-        x1, k = divmod(i, len(self._jm2))
-        return x1, self.m2.add(self.phi(x1), self._jm2[k])
 
     def add(self, i, j):
         a1, a2 = self.parts(i)
@@ -283,22 +271,9 @@ class AmalgamatedModule(FiniteModule):
         return self.pack(self.m1.neg(a1), self.m2.neg(a2))
 
     def act(self, r, x):
-        u, w = self.A.pair_of(r)
+        u, w = self.A.parts(r)
         a1, a2 = self.parts(x)
         return self.pack(self.m1.act(u, a1), self.m2.act(w, a2))
-
-    def describe(self, x):
-        a1, a2 = self.parts(x)
-        return f"({self.m1.describe(a1)},{self.m2.describe(a2)})"
-
-    def literal_to_index(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 2):
-            raise InvalidConstructionError("amalgamated element literal must be a pair")
-        x1 = self.m1.literal_to_index(lit[0])
-        y2 = self.m2.literal_to_index(lit[1])
-        if self._rank.get(self.m2.sub(y2, self.phi(x1))) is None:
-            raise InvalidConstructionError(f"{lit} is not in the amalgamated module")
-        return self.pack(x1, y2)
 
     @property
     def signature(self):
@@ -319,8 +294,7 @@ def amalg_submodule_n1(AM: AmalgamatedModule, N1: Submodule) -> Submodule:
     """N1 join M2 = {(x1, phi(x1)+y) : x1 in N1, y in J M2}."""
     if not N1.module.same_module(AM.m1):
         raise CrossStructureError("N1 is not a submodule of the first factor")
-    w = len(AM._jm2)
-    idxs = [x1 * w + k for x1 in N1.indices for k in range(w)]
+    idxs = [AM.pack(x1, AM.m2.add(AM.phi(x1), y)) for x1 in N1.indices for y in AM.offsets]
     return Submodule(AM, idxs, _trusted=True)
 
 

@@ -1,0 +1,124 @@
+"""The index encodings that derived rings and modules share.
+
+Each class here owns one way of numbering the elements of a construction
+built from other structures, for rings and modules alike: how an index is
+packed and unpacked, described, and read from a literal.  The arithmetic of
+each construction stays in its own class."""
+from __future__ import annotations
+
+from .errors import InvalidConstructionError
+
+
+class PairCodec:
+    """Pairs (a, b) of two factor structures at index a * |second| + b."""
+
+    def _init_pairs(self, first, second) -> None:
+        self._first = first
+        self._second = second
+        self._ro = second.order
+        self.order = first.order * second.order
+        self.zero = self.pack(first.zero, second.zero)
+
+    def pack(self, a: int, b: int) -> int:
+        return a * self._ro + b
+
+    def parts(self, i: int) -> tuple[int, int]:
+        return divmod(i, self._ro)
+
+    def describe(self, i: int) -> str:
+        a, b = self.parts(i)
+        return f"({self._first.describe(a)},{self._second.describe(b)})"
+
+    def literal_to_index(self, lit) -> int:
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        return self.pack(
+            self._first.literal_to_index(lit[0]), self._second.literal_to_index(lit[1])
+        )
+
+
+class AmalgamationCodec(PairCodec):
+    """Pairs (u, f(u) + j) with j in a subgroup ``offsets`` of the second
+    factor, at index u * |offsets| + rank of j in the sorted ``offsets``."""
+
+    def _init_amalgam(self, first, second, f, offsets) -> None:
+        self._f = f
+        self.offsets = tuple(offsets)
+        self._rank = {j: k for k, j in enumerate(self.offsets)}
+        self._first = first
+        self._second = second
+        self.order = first.order * len(self.offsets)
+        self.zero = self.pack(first.zero, second.zero)
+
+    def pack(self, u: int, w: int) -> int:
+        """Index of the pair (u, w), w being the whole second component."""
+        k = self._rank.get(self._second.sub(w, self._f(u)))
+        if k is None:
+            raise InvalidConstructionError(
+                f"{self.name}: ({self._first.describe(u)},{self._second.describe(w)})"
+                " is not in the amalgamation carrier"
+            )
+        return u * len(self.offsets) + k
+
+    def parts(self, i: int) -> tuple[int, int]:
+        u, k = divmod(i, len(self.offsets))
+        return u, self._second.add(self._f(u), self.offsets[k])
+
+
+class CosetCodec:
+    """Cosets a + K of a subgroup K of ``base``, ranked by their least
+    member, which is the coset's representative."""
+
+    def _init_cosets(self, base, kernel) -> None:
+        proj = [-1] * base.order
+        reps: list[int] = []
+        for a in range(base.order):
+            if proj[a] >= 0:
+                continue
+            coset = sorted(base.add(a, i) for i in kernel)
+            rank = len(reps)
+            reps.append(coset[0])
+            for c in coset:
+                proj[c] = rank
+        self.base = base
+        self._reps = reps
+        self._proj = proj
+        self._kernel = tuple(kernel)
+        self.order = len(reps)
+        self.zero = proj[base.zero]
+
+    def project(self, base_index: int) -> int:
+        return self._proj[base_index]
+
+    def representative(self, i: int) -> int:
+        return self._reps[i]
+
+    def describe(self, i: int) -> str:
+        return f"[{self.base.describe(self._reps[i])}]"
+
+    def literal_to_index(self, lit) -> int:
+        return self._proj[self.base.literal_to_index(lit)]
+
+
+class CarrierCodec:
+    """A subset of ``base`` whose k-th element is its k-th smallest base
+    index."""
+
+    def _init_carrier(self, base, carrier) -> None:
+        self.base = base
+        self.carrier = sorted(carrier)
+        self._pos = {c: k for k, c in enumerate(self.carrier)}
+        self.order = len(self.carrier)
+        self.zero = self._pos[base.zero]
+
+    def from_base(self, base_index: int) -> int:
+        return self._pos[base_index]
+
+    def to_base(self, i: int) -> int:
+        return self.carrier[i]
+
+    def describe(self, i: int) -> str:
+        return self.base.describe(self.carrier[i])
+
+    def literal_to_index(self, lit) -> int:
+        return self.from_base(self.base.literal_to_index(lit))

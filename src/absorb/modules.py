@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import random
 
+from .encodings import CarrierCodec, CosetCodec, PairCodec
 from .errors import (
     CrossStructureError,
     InvalidConstructionError,
     InvalidOrderError,
     NotProperError,
 )
-from .rings import TABULATE_BOUND, FiniteRing, RingElt, RingHom, ZMod
+from .rings import (
+    TABULATE_BOUND,
+    FiniteRing,
+    ProductRing,
+    RingElt,
+    RingHom,
+    SubringOnIdempotent,
+    ZMod,
+)
 
 ACTION_SAMPLE_COUNT = 1000
 _SAMPLE_SEED = 0xB0B
@@ -184,9 +193,6 @@ class FiniteModule:
             raise CrossStructureError(f"index {i} out of range for {self.name}")
         return ModElt(self, i)
 
-    def elements(self):
-        return (ModElt(self, i) for i in range(self.order))
-
     def same_module(self, other: "FiniteModule") -> bool:
         return self is other or self.signature == other.signature
 
@@ -272,6 +278,7 @@ class RingAsModule(FiniteModule):
         self.zero = ring.zero
         self.add = ring.add
         self.neg = ring.neg
+        self.sub = ring.sub
         self.act = ring.mul
         self._trusted_ops = True
         self._finalize()
@@ -326,26 +333,21 @@ class CyclicModule(FiniteModule):
         return ("cyclic", self.ring.signature, self.d)
 
 
-class ProductModule(FiniteModule):
+class ProductModule(PairCodec, FiniteModule):
     """M1 x M2 over one common ring, diagonal action."""
 
     def __init__(self, m1: FiniteModule, m2: FiniteModule):
         if not m1.ring.same_ring(m2.ring):
             raise CrossStructureError("same-ring product needs identical acting rings")
+        self._build(m1, m2, m1.ring)
+
+    def _build(self, m1: FiniteModule, m2: FiniteModule, ring: FiniteRing) -> None:
         self.m1 = m1
         self.m2 = m2
-        self._ro = m2.order
-        self.ring = m1.ring
-        self.order = m1.order * m2.order
+        self.ring = ring
         self.name = f"({m1.name} x {m2.name})"
-        self.zero = m1.zero * self._ro + m2.zero
+        self._init_pairs(m1, m2)
         self._finalize()
-
-    def pack(self, a, b):
-        return a * self._ro + b
-
-    def parts(self, i):
-        return divmod(i, self._ro)
 
     def add(self, i, j):
         a1, b1 = divmod(i, self._ro)
@@ -360,110 +362,43 @@ class ProductModule(FiniteModule):
         a, b = divmod(x, self._ro)
         return self.m1.act(r, a) * self._ro + self.m2.act(r, b)
 
-    def describe(self, x):
-        a, b = divmod(x, self._ro)
-        return f"({self.m1.describe(a)},{self.m2.describe(b)})"
-
-    def literal_to_index(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 2):
-            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
-        return self.pack(
-            self.m1.literal_to_index(lit[0]), self.m2.literal_to_index(lit[1])
-        )
-
     @property
     def signature(self):
         return ("prodmod", self.m1.signature, self.m2.signature)
 
 
-class ProductOverProductRing(FiniteModule):
+class ProductOverProductRing(ProductModule):
     """M1 x M2 acted on componentwise by R1 x R2."""
 
     def __init__(self, m1: FiniteModule, m2: FiniteModule, prod_ring):
-        from .rings import ProductRing
-
         if not isinstance(prod_ring, ProductRing):
             raise CrossStructureError("need a product ring to act componentwise")
         if not (
             prod_ring.left.same_ring(m1.ring) and prod_ring.right.same_ring(m2.ring)
         ):
             raise CrossStructureError("module factors do not match the ring factors")
-        self.m1 = m1
-        self.m2 = m2
-        self._ro = m2.order
-        self.ring = prod_ring
-        self.order = m1.order * m2.order
-        self.name = f"({m1.name} x {m2.name})"
-        self.zero = m1.zero * self._ro + m2.zero
-        self._finalize()
-
-    def pack(self, a, b):
-        return a * self._ro + b
-
-    def parts(self, i):
-        return divmod(i, self._ro)
-
-    def add(self, i, j):
-        a1, b1 = divmod(i, self._ro)
-        a2, b2 = divmod(j, self._ro)
-        return self.m1.add(a1, a2) * self._ro + self.m2.add(b1, b2)
-
-    def neg(self, i):
-        a, b = divmod(i, self._ro)
-        return self.m1.neg(a) * self._ro + self.m2.neg(b)
+        self._build(m1, m2, prod_ring)
 
     def act(self, r, x):
         r1, r2 = self.ring.parts(r)
         a, b = divmod(x, self._ro)
         return self.m1.act(r1, a) * self._ro + self.m2.act(r2, b)
 
-    def describe(self, x):
-        a, b = divmod(x, self._ro)
-        return f"({self.m1.describe(a)},{self.m2.describe(b)})"
-
-    def literal_to_index(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 2):
-            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
-        return self.pack(
-            self.m1.literal_to_index(lit[0]), self.m2.literal_to_index(lit[1])
-        )
-
     @property
     def signature(self):
         return ("prodmod2", self.m1.signature, self.m2.signature)
 
 
-class QuotientModule(FiniteModule):
+class QuotientModule(CosetCodec, FiniteModule):
     """base / kernel, cosets indexed by rank of least representative."""
 
     def __init__(self, base: FiniteModule, kernel: "Submodule"):
         if not kernel.module.same_module(base):
             raise CrossStructureError("kernel is not a submodule of the base module")
-        self.base = base
         self.ring = base.ring
-        proj = [-1] * base.order
-        reps: list[int] = []
-        for a in range(base.order):
-            if proj[a] >= 0:
-                continue
-            coset = sorted(base.add(a, i) for i in kernel.indices)
-            rank = len(reps)
-            reps.append(coset[0])
-            for c in coset:
-                proj[c] = rank
-        self._reps = reps
-        self._proj = proj
-        self._kernel_indices = kernel.indices
-        self.order = len(reps)
+        self._init_cosets(base, kernel.indices)
         self.name = f"{base.name}/K"
-        self.zero = proj[base.zero]
         self._finalize()
-
-    def project(self, base_index: int) -> int:
-        return self._proj[base_index]
-
-    def representative(self, i: int) -> int:
-        return self._reps[i]
 
     def add(self, i, j):
         return self._proj[self.base.add(self._reps[i], self._reps[j])]
@@ -474,36 +409,20 @@ class QuotientModule(FiniteModule):
     def act(self, r, x):
         return self._proj[self.base.act(r, self._reps[x])]
 
-    def describe(self, x):
-        return f"[{self.base.describe(self._reps[x])}]"
-
-    def literal_to_index(self, lit):
-        return self._proj[self.base.literal_to_index(lit)]
-
     @property
     def signature(self):
-        return ("quotmod", self.base.signature, self._kernel_indices)
+        return ("quotmod", self.base.signature, self._kernel)
 
 
-class SubcarrierModule(FiniteModule):
+class SubcarrierModule(CarrierCodec, FiniteModule):
     """A submodule carrier promoted to a module in its own right (used for
     IM, localized carriers and similar); same acting ring as the base."""
 
     def __init__(self, base: FiniteModule, carrier, name=None):
-        self.base = base
         self.ring = base.ring
-        self.carrier = sorted(carrier)
-        self._pos = {c: k for k, c in enumerate(self.carrier)}
-        self.order = len(self.carrier)
+        self._init_carrier(base, carrier)
         self.name = name or f"sub({base.name},{self.order})"
-        self.zero = self._pos[base.zero]
         self._finalize()
-
-    def from_base(self, base_index: int) -> int:
-        return self._pos[base_index]
-
-    def to_base(self, i: int) -> int:
-        return self.carrier[i]
 
     def add(self, i, j):
         return self._pos[self.base.add(self.carrier[i], self.carrier[j])]
@@ -513,12 +432,6 @@ class SubcarrierModule(FiniteModule):
 
     def act(self, r, x):
         return self._pos[self.base.act(r, self.carrier[x])]
-
-    def describe(self, x):
-        return self.base.describe(self.carrier[x])
-
-    def literal_to_index(self, lit):
-        return self._pos[self.base.literal_to_index(lit)]
 
     @property
     def signature(self):
@@ -560,32 +473,22 @@ class RestrictedModule(SubcarrierModule):
     """e*M over the idempotent subring e*R (finite localization carrier)."""
 
     def __init__(self, base: FiniteModule, subring):
-        from .rings import SubringOnIdempotent
-
         if not isinstance(subring, SubringOnIdempotent):
             raise InvalidConstructionError("restricted modules live over e*R subrings")
         if not subring.base.same_ring(base.ring):
             raise CrossStructureError("idempotent comes from a different ring")
         e = subring.e
-        carrier = sorted({base.act(e, x) for x in range(base.order)})
-        self.subring = subring
-        self._e = e
-        # bypass SubcarrierModule.__init__ ring choice
-        self.base = base
         self.ring = subring
-        self.carrier = carrier
-        self._pos = {c: k for k, c in enumerate(carrier)}
-        self.order = len(carrier)
+        self._init_carrier(base, {base.act(e, x) for x in range(base.order)})
         self.name = f"{base.ring.describe(e)}*{base.name}"
-        self.zero = self._pos[base.zero]
         self._finalize()
 
     def act(self, r, x):
-        return self._pos[self.base.act(self.subring.carrier[r], self.carrier[x])]
+        return self._pos[self.base.act(self.ring.carrier[r], self.carrier[x])]
 
     @property
     def signature(self):
-        return ("localized", self.base.signature, self._e)
+        return ("localized", self.base.signature, self.ring.e)
 
 
 class Submodule:
@@ -624,18 +527,9 @@ class Submodule:
     def contains(self, i: int) -> bool:
         return bool(self.mask >> i & 1)
 
-    def contains_elt(self, x: ModElt) -> bool:
-        if not x.module.same_module(self.module):
-            raise CrossStructureError("element from a different module")
-        return self.contains(x.index)
-
     @property
     def is_proper(self) -> bool:
         return self.order < self.module.order
-
-    @property
-    def is_zero(self) -> bool:
-        return self.order == 1
 
     def require_proper(self) -> None:
         if not self.is_proper:

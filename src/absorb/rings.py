@@ -11,6 +11,7 @@ import functools
 import random
 from typing import Callable
 
+from .encodings import AmalgamationCodec, CarrierCodec, CosetCodec, PairCodec
 from .errors import (
     CrossStructureError,
     InvalidConstructionError,
@@ -130,9 +131,6 @@ class FiniteRing:
         if not 0 <= i < self.order:
             raise CrossStructureError(f"index {i} out of range for {self.name}")
         return RingElt(self, i)
-
-    def elements(self):
-        return (RingElt(self, i) for i in range(self.order))
 
     def power_orbit_raw(self, t: int) -> tuple[int, int, tuple[int, ...]]:
         """(preperiod, period, distinct powers t^1..t^(pre+per-1))."""
@@ -275,24 +273,16 @@ class ZMod(FiniteRing):
         return ("zmod", self.n)
 
 
-class ProductRing(FiniteRing):
+class ProductRing(PairCodec, FiniteRing):
     """Componentwise product; index = left * |right| + right."""
 
     def __init__(self, left: FiniteRing, right: FiniteRing):
         self.left = left
         self.right = right
-        self._ro = right.order
-        self.order = left.order * right.order
         self.name = f"({left.name} x {right.name})"
-        self.zero = self._pack(left.zero, right.zero)
-        self.one = self._pack(left.one, right.one)
+        self._init_pairs(left, right)
+        self.one = self.pack(left.one, right.one)
         self._finalize()
-
-    def _pack(self, a, b):
-        return a * self._ro + b
-
-    def parts(self, i):
-        return divmod(i, self._ro)
 
     def add(self, i, j):
         a1, b1 = divmod(i, self._ro)
@@ -308,23 +298,12 @@ class ProductRing(FiniteRing):
         a, b = divmod(i, self._ro)
         return self.left.neg(a) * self._ro + self.right.neg(b)
 
-    def describe(self, i):
-        a, b = divmod(i, self._ro)
-        return f"({self.left.describe(a)},{self.right.describe(b)})"
-
-    def literal_to_index(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 2):
-            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
-        return self._pack(
-            self.left.literal_to_index(lit[0]), self.right.literal_to_index(lit[1])
-        )
-
     @property
     def signature(self):
         return ("product", self.left.signature, self.right.signature)
 
 
-class QuotientRing(FiniteRing):
+class QuotientRing(CosetCodec, FiniteRing):
     """base / ideal; elements are cosets indexed by rank of their least
     representative."""
 
@@ -333,33 +312,12 @@ class QuotientRing(FiniteRing):
             raise InvalidConstructionError("quotient modulus must be an ideal of the base ring")
         if not base.same_ring(ideal.module.ring):
             raise CrossStructureError("ideal does not belong to the base ring")
-        self.base = base
-        proj = [-1] * base.order
-        reps: list[int] = []
-        for a in range(base.order):
-            if proj[a] >= 0:
-                continue
-            coset = sorted(base.add(a, i) for i in ideal.indices)
-            rank = len(reps)
-            reps.append(coset[0])
-            for c in coset:
-                proj[c] = rank
-        self._reps = reps
-        self._proj = proj
-        self._ideal_indices = tuple(ideal.indices)
-        self.order = len(reps)
+        self._init_cosets(base, ideal.indices)
         self.name = f"{base.name}/({len(ideal.indices)} elts)"
-        self.zero = proj[base.zero]
-        self.one = proj[base.one]
+        self.one = self._proj[base.one]
         if self.order < 2:
             raise InvalidOrderError("quotient by the full ring is the zero ring")
         self._finalize()
-
-    def project(self, base_index: int) -> int:
-        return self._proj[base_index]
-
-    def representative(self, i: int) -> int:
-        return self._reps[i]
 
     def add(self, i, j):
         return self._proj[self.base.add(self._reps[i], self._reps[j])]
@@ -370,18 +328,12 @@ class QuotientRing(FiniteRing):
     def neg(self, i):
         return self._proj[self.base.neg(self._reps[i])]
 
-    def describe(self, i):
-        return f"[{self.base.describe(self._reps[i])}]"
-
-    def literal_to_index(self, lit):
-        return self._proj[self.base.literal_to_index(lit)]
-
     @property
     def signature(self):
-        return ("quotient", self.base.signature, self._ideal_indices)
+        return ("quotient", self.base.signature, self._kernel)
 
 
-class SubringOnIdempotent(FiniteRing):
+class SubringOnIdempotent(CarrierCodec, FiniteRing):
     """The ring e*base for an idempotent e, with identity e."""
 
     def __init__(self, base: FiniteRing, e: int):
@@ -389,14 +341,9 @@ class SubringOnIdempotent(FiniteRing):
             raise InvalidConstructionError("subring carrier needs an idempotent element")
         if e == base.zero:
             raise InvalidOrderError("idempotent 0 gives the zero ring")
-        self.base = base
         self.e = e
-        carrier = sorted({base.mul(e, i) for i in range(base.order)})
-        self.carrier = carrier
-        self._pos = {c: k for k, c in enumerate(carrier)}
-        self.order = len(carrier)
+        self._init_carrier(base, {base.mul(e, i) for i in range(base.order)})
         self.name = f"{base.describe(e)}*{base.name}"
-        self.zero = self._pos[base.zero]
         self.one = self._pos[e]
         self._finalize()
 
@@ -413,18 +360,12 @@ class SubringOnIdempotent(FiniteRing):
     def neg(self, i):
         return self._pos[self.base.neg(self.carrier[i])]
 
-    def describe(self, i):
-        return self.base.describe(self.carrier[i])
-
-    def literal_to_index(self, lit):
-        return self.from_base(self.base.literal_to_index(lit))
-
     @property
     def signature(self):
         return ("idempotent-subring", self.base.signature, self.e)
 
 
-class IdealizationRing(FiniteRing):
+class IdealizationRing(PairCodec, FiniteRing):
     """Trivial extension of a ring by a module: carrier R x M with
     (u,x)(v,y) = (uv, uy + vx); index = r * |M| + m."""
 
@@ -433,49 +374,37 @@ class IdealizationRing(FiniteRing):
             raise CrossStructureError("module must be over the base ring")
         self.base = base
         self.module = module
-        self._mo = module.order
-        self.order = base.order * module.order
         self.name = f"{base.name}|x{module.name}"
-        self.zero = base.zero * self._mo + module.zero
-        self.one = base.one * self._mo + module.zero
+        self._init_pairs(base, module)
+        self.one = self.pack(base.one, module.zero)
         self._finalize()
 
-    def parts(self, i):
-        return divmod(i, self._mo)
-
     def add(self, i, j):
-        r1, m1 = divmod(i, self._mo)
-        r2, m2 = divmod(j, self._mo)
-        return self.base.add(r1, r2) * self._mo + self.module.add(m1, m2)
+        r1, m1 = divmod(i, self._ro)
+        r2, m2 = divmod(j, self._ro)
+        return self.base.add(r1, r2) * self._ro + self.module.add(m1, m2)
+
+    def sub(self, i, j):
+        r1, m1 = divmod(i, self._ro)
+        r2, m2 = divmod(j, self._ro)
+        return self.base.sub(r1, r2) * self._ro + self.module.sub(m1, m2)
 
     def mul(self, i, j):
-        r1, m1 = divmod(i, self._mo)
-        r2, m2 = divmod(j, self._mo)
+        r1, m1 = divmod(i, self._ro)
+        r2, m2 = divmod(j, self._ro)
         m = self.module.add(self.module.act(r1, m2), self.module.act(r2, m1))
-        return self.base.mul(r1, r2) * self._mo + m
+        return self.base.mul(r1, r2) * self._ro + m
 
     def neg(self, i):
-        r, m = divmod(i, self._mo)
-        return self.base.neg(r) * self._mo + self.module.neg(m)
-
-    def describe(self, i):
-        r, m = divmod(i, self._mo)
-        return f"({self.base.describe(r)},{self.module.describe(m)})"
-
-    def literal_to_index(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 2):
-            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
-        return (
-            self.base.literal_to_index(lit[0]) * self._mo
-            + self.module.literal_to_index(lit[1])
-        )
+        r, m = divmod(i, self._ro)
+        return self.base.neg(r) * self._ro + self.module.neg(m)
 
     @property
     def signature(self):
         return ("idealization", self.base.signature, self.module.signature)
 
 
-class AmalgamationRing(FiniteRing):
+class AmalgamationRing(AmalgamationCodec, FiniteRing):
     """Subring {(u, f(u)+j) : u in R1, j in J} of R1 x R2."""
 
     def __init__(self, r1: FiniteRing, r2: FiniteRing, hom: "RingHom", j_ideal):
@@ -488,53 +417,24 @@ class AmalgamationRing(FiniteRing):
         self.r1 = r1
         self.r2 = r2
         self.hom = hom
-        self.j_list = list(j_ideal.indices)
-        self._jpos = {j: k for k, j in enumerate(self.j_list)}
-        self._jo = len(self.j_list)
-        self.order = r1.order * self._jo
         self.name = f"{r1.name}|><|{r2.name}"
-        self.zero = self._pack(r1.zero, r2.zero)
-        self.one = self._pack(r1.one, hom(r1.one))
+        self._init_amalgam(r1, r2, hom, j_ideal.indices)
+        self.one = self.pack(r1.one, hom(r1.one))
         self._finalize()
 
-    def _pack(self, u, w):
-        j = self.r2.sub(w, self.hom(u))
-        return u * self._jo + self._jpos[j]
-
-    def pair_of(self, i):
-        """(u index in R1, second-component index in R2)."""
-        u, jr = divmod(i, self._jo)
-        return u, self.r2.add(self.hom(u), self.j_list[jr])
-
     def add(self, i, j):
-        u1, w1 = self.pair_of(i)
-        u2, w2 = self.pair_of(j)
-        return self._pack(self.r1.add(u1, u2), self.r2.add(w1, w2))
+        u1, w1 = self.parts(i)
+        u2, w2 = self.parts(j)
+        return self.pack(self.r1.add(u1, u2), self.r2.add(w1, w2))
 
     def mul(self, i, j):
-        u1, w1 = self.pair_of(i)
-        u2, w2 = self.pair_of(j)
-        return self._pack(self.r1.mul(u1, u2), self.r2.mul(w1, w2))
+        u1, w1 = self.parts(i)
+        u2, w2 = self.parts(j)
+        return self.pack(self.r1.mul(u1, u2), self.r2.mul(w1, w2))
 
     def neg(self, i):
-        u, w = self.pair_of(i)
-        return self._pack(self.r1.neg(u), self.r2.neg(w))
-
-    def describe(self, i):
-        u, w = self.pair_of(i)
-        return f"({self.r1.describe(u)},{self.r2.describe(w)})"
-
-    def literal_to_index(self, lit):
-        if not (isinstance(lit, tuple) and len(lit) == 2):
-            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
-        u = self.r1.literal_to_index(lit[0])
-        w = self.r2.literal_to_index(lit[1])
-        j = self.r2.sub(w, self.hom(u))
-        if j not in self._jpos:
-            raise InvalidConstructionError(
-                f"{self.name}: {lit} is not in the amalgamation carrier"
-            )
-        return u * self._jo + self._jpos[j]
+        u, w = self.parts(i)
+        return self.pack(self.r1.neg(u), self.r2.neg(w))
 
     @property
     def signature(self):
@@ -543,7 +443,7 @@ class AmalgamationRing(FiniteRing):
             self.r1.signature,
             self.r2.signature,
             tuple(self.hom.table),
-            tuple(self.j_list),
+            self.offsets,
         )
 
 

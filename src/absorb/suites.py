@@ -821,7 +821,7 @@ def _suite_idealization(params):
                 IN = Submodule(AM, subset.indices, _trusted=True)
                 checked += 1
                 # radical identity
-                want = {r * M.order + x for r in radical(I).indices for x in range(M.order)}
+                want = {A.pack(r, x) for r in radical(I).indices for x in range(M.order)}
                 if set(radical(IN).indices) != want:
                     violations.append((f"Z{n}: sqrt(({I.describe()}) x {N.describe()})", None))
                 # Prop (1): I x N sdf-primary => I sdf-primary
@@ -835,7 +835,7 @@ def _suite_idealization(params):
                 checked += 1
                 IM = Submodule(
                     AM,
-                    [r * M.order + x for r in I.indices for x in range(M.order)],
+                    [A.pack(r, x) for r in I.indices for x in range(M.order)],
                     _trusted=True,
                 )
                 if cached_check("sdfprimary", I).holds != cached_check("sdfprimary", IM).holds:

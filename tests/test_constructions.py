@@ -20,10 +20,11 @@ from absorb.constructions import (
     restrict_scalars,
     saturate,
 )
-from absorb.errors import DegenerateLocalizationError
+from absorb.errors import DegenerateLocalizationError, InvalidConstructionError
+from absorb.lattice import all_submodules
 from absorb.modules import CyclicModule, ModuleHom, span, zero_submodule
-from absorb.predicates import is_gsdf_absorbing
-from absorb.rings import make_zmod, reduction_hom
+from absorb.predicates import check_property, is_gsdf_absorbing
+from absorb.rings import ProductRing, make_zmod, reduction_hom
 
 
 def test_quotient_module_and_projection():
@@ -63,6 +64,54 @@ def test_product_module_and_submodule():
     NB = span(B, [1])
     NP = product_submodule(P, NA, NB)
     assert len(NP.indices) == 3
+
+
+def _componentwise(n1, n2):
+    """Z_n1 x Z_n2 acted on componentwise by the ring Z_n1 x Z_n2."""
+    R1, R2 = make_zmod(n1), make_zmod(n2)
+    return product_module(R1.as_module, R2.as_module, ProductRing(R1, R2))
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 3), (4, 2)])
+def test_componentwise_product_module_axioms(n1, n2):
+    from test_modules import _exhaustive_module_axioms
+
+    P = _componentwise(n1, n2)
+    assert P.order == n1 * n2 and P.ring.order == n1 * n2
+    _exhaustive_module_axioms(P)
+    for r in range(P.ring.order):
+        r1, r2 = P.ring.parts(r)
+        for x in range(P.order):
+            a, b = P.parts(x)
+            assert P.act(r, x) == P.pack((r1 * a) % n1, (r2 * b) % n2)
+
+
+def test_componentwise_product_is_not_the_same_ring_product():
+    Z2 = make_zmod(2).as_module
+    diagonal = product_module(Z2, Z2)
+    P = product_module(Z2, Z2, ProductRing(make_zmod(2), make_zmod(2)))
+    assert P.signature != diagonal.signature and not P.same_module(diagonal)
+    assert [P.describe(x) for x in range(4)] == [diagonal.describe(x) for x in range(4)]
+
+
+def test_componentwise_product_submodule():
+    P = _componentwise(4, 2)
+    N1, N2 = span(P.m1, [2]), zero_submodule(P.m2)
+    N = product_submodule(P, N1, N2)
+    assert N.indices == (P.pack(0, 0), P.pack(2, 0))
+    assert N == span(P, [P.literal_to_index((2, 0))])
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 3), (4, 2)])
+def test_componentwise_product_verdicts_match_oracles(n1, n2):
+    from conftest import naive_gsdf, naive_sdf
+
+    P = _componentwise(n1, n2)
+    proper = all_submodules(P).proper
+    assert proper
+    for N in proper:
+        assert check_property("gsdf", N).holds == naive_gsdf(N), N
+        assert check_property("sdf", N).holds == naive_sdf(N), N
 
 
 def test_multiplicative_set_closure_adds_one():
@@ -142,13 +191,15 @@ def test_amalgamated_module_componentwise_action():
     AM = amalgamated_module(A, M1, M2, phi, J)
     assert AM.order == M1.order * len(J.indices)
     for i in range(A.order):
-        a, b = A.pair_of(i)
+        a, b = A.parts(i)
         for m in range(AM.order):
             x1, y2 = AM.parts(m)
             out = AM.act(i, m)
             ox, oy = AM.parts(out)
             assert ox == M1.act(a, x1)
             assert oy == M2.act(b, y2)
+    with pytest.raises(InvalidConstructionError, match="is not in the amalgamation carrier"):
+        AM.literal_to_index((1, 0))
 
 
 def test_restrict_scalars_via_reduction_hom():

@@ -138,6 +138,25 @@ def test_zmod_sub_is_add_of_neg_exhaustively():
                 assert R.sub(a, b) == R.add(a, R.neg(b)), (n, a, b)
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_idealization_sub_is_add_of_neg_exhaustively(n):
+    from absorb.rings import IdealizationRing
+
+    A = IdealizationRing(make_zmod(n), make_zmod(n).as_module)
+    structural = IdealizationRing.sub  # the instance's own sub is a table lookup
+    for a in range(A.order):
+        for b in range(A.order):
+            want = A.add(a, A.neg(b))
+            assert A.sub(a, b) == structural(A, a, b) == A.as_module.sub(a, b) == want
+
+
+def test_ring_as_module_sub_is_add_of_neg_exhaustively():
+    M = make_zmod(12).as_module
+    for a in range(12):
+        for b in range(12):
+            assert M.sub(a, b) == M.add(a, M.neg(b))
+
+
 def test_zmod_ring_axioms_exhaustive_z12():
     R = make_zmod(12)
     n = R.order
@@ -265,10 +284,14 @@ def test_amalgamation_carrier_and_ops():
     A = amalgamation_ring(R, S, f, J)
     assert A.order == 12 * len(J.indices)
     for i in range(A.order):
-        u, w = A.pair_of(i)
+        u, w = A.parts(i)
         assert (w - f.table[u]) % 6 in set(J.indices)
     a = A.literal_to_index((5, 5 % 6))
     b = A.literal_to_index((2, 4))
-    u1, w1 = A.pair_of(a)
-    u2, w2 = A.pair_of(b)
-    assert A.pair_of(A.mul(a, b)) == ((u1 * u2) % 12, (w1 * w2) % 6)
+    u1, w1 = A.parts(a)
+    u2, w2 = A.parts(b)
+    assert A.parts(A.mul(a, b)) == ((u1 * u2) % 12, (w1 * w2) % 6)
+    with pytest.raises(InvalidConstructionError, match=r"\(1,0\) is not in the amalgamation"):
+        A.literal_to_index((1, 0))  # 0 - f(1) = 5 is not in J
+    with pytest.raises(InvalidConstructionError, match="element literal must be a pair"):
+        A.literal_to_index(1)
