@@ -15,10 +15,8 @@ from .rings import (
     AmalgamationRing,
     FiniteRing,
     IdealizationRing,
-    ProductRing,
     RingHom,
     SubringOnIdempotent,
-    stable_idempotent,
 )
 from .modules import (
     FiniteModule,
@@ -114,9 +112,6 @@ class MultiplicativeSet:
                     frontier.append(c)
         self.indices = tuple(sorted(seen))
 
-    def contains(self, i: int) -> bool:
-        return i in set(self.indices)
-
     @property
     def product(self) -> int:
         t = self.ring.one
@@ -201,15 +196,16 @@ def idealization_ring(R: FiniteRing, M: FiniteModule) -> IdealizationRing:
 
 
 def idealization_subset(A: IdealizationRing, I: Submodule, N: Submodule):
-    """I x N inside R x M as a plain subset, plus whether it is an ideal
-    (equivalent to I M contained in N)."""
+    """I x N inside R x M as a plain subset, marked as the additive subgroup
+    it always is, plus whether it is an ideal (equivalent to I M contained
+    in N)."""
     R, M = A.base, A.module
     if not (isinstance(I.module, RingAsModule) and I.module.ring.same_ring(R)):
         raise CrossStructureError("first component must be an ideal of the base ring")
     if not N.module.same_module(M):
         raise CrossStructureError("second component must be a submodule of the base module")
     idxs = [A.pack(r, x) for r in I.indices for x in N.indices]
-    subset = RingSubset(A, idxs)
+    subset = RingSubset(A, idxs, subgroup=True)
     is_ideal = all(
         N.contains(M.act(r, x)) for r in I.indices for x in range(M.order)
     )

@@ -11,7 +11,12 @@ Three scan shapes fix which witness is reported first:
 * **Square difference** (gsdf, sdf, sdf-absorbing and sdf-primary ideals,
   the set-wise sdf-primary condition): one core, ``_sd_scan``.  The
   hypothesis is symmetric in (u, v), so it walks u ascending and v up to u,
-  the u >= v half only, with x innermost.
+  the u >= v half only, with x innermost.  When the target S is an additive
+  subgroup (an ideal, or a set-wise I x N), u^2 - v^2 lies in S exactly when
+  u^2 and v^2 lie in the same coset of S, so v walks only the bucket of
+  elements whose square shares u^2's coset; every pair it skips fails the
+  hypothesis, and the first failure is the same.  ``checked_count`` is the
+  position of that pair in the u >= v order, a closed form on either walk.
 * **Classical primary**: u and v in plain lexicographic order over the
   whole square, x innermost.
 * **Colon** (prime, primary): u ascending, x innermost; the scalars of
@@ -54,8 +59,10 @@ class PropertyReport:
 
     ``checked_count`` is the number of (u, v) pairs the scan visited times
     |M| for the five module properties (scalars u visited times |M| for
-    prime and primary), and the number of pairs visited for the ideal-level
-    and set-wise checks.  It is not the number of x-values tested."""
+    prime and primary).  For the ideal-level and set-wise checks it is the
+    position of the failing pair in the u >= v order (all pairs of that order
+    when none fails), not the number of pairs a coset-bucketed scan tested.
+    It is not the number of x-values tested."""
 
     property: str
     holds: bool
@@ -102,21 +109,46 @@ def _first_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _sd_scan(R, hit, width: int, start: int = 0, ann=None):
+def _coset_ids(R, indices) -> list[int]:
+    """The coset of the additive subgroup ``indices`` that each element of R
+    lies in, numbered in order of their least elements: |R| additions."""
+    add = R.add
+    ids = [-1] * R.order
+    n = 0
+    for a in range(R.order):
+        if ids[a] < 0:
+            for s in indices:
+                ids[add(a, s)] = n
+            n += 1
+    return ids
+
+
+def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     """The square-difference scan: (u^2 - v^2).x in N implies (u - v).x in
     N or a conclusion on u + v.  Without ``ann`` that conclusion is
     (u + v)^k.x in N for some k >= 1, its reach cached per u + v; with
     ``ann`` it is (u + v).x in N, and only x outside ``ann[u] | ann[v]``
     count.  u ascends from ``start`` and v runs from ``start`` to u.
 
-    Returns the first failure (u, v, x, k_bound), or None, and the pairs
-    visited times ``width``."""
+    ``coset`` (one-bit rows only, from ``_coset_ids`` of an additive
+    subgroup S) buckets the elements by the coset of their square: u appends
+    itself to its bucket, and v walks that bucket in ascending order instead
+    of every element up to u.  The pairs skipped are the ones with u^2 - v^2
+    outside S.
+
+    Returns the first failure (u, v, x, k_bound), or None, and its position
+    in the u >= v order of pairs from ``start`` (all T(T+1)/2 pairs, with
+    T = |R| - start, when none fails) times ``width``."""
     sub, add, mul = R.sub, R.add, R.mul
     reach: dict[int, int] = {}
-    pairs = 0
+    buckets: dict[int, list[int]] = {}
     for u in range(start, R.order):
-        for v in range(start, u + 1):
-            pairs += 1
+        if coset is None:
+            vs = range(start, u + 1)
+        else:
+            vs = buckets.setdefault(coset[mul(u, u)], [])
+            vs.append(u)
+        for v in vs:
             d = sub(u, v)
             s = add(u, v)
             bad = hit[mul(d, s)] & ~hit[d]
@@ -130,8 +162,10 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None):
                 bad &= ~reach[s]
             if bad:
                 k = 1 if ann is not None else _orbit_len(R, s)
-                return (u, v, _first_bit(bad), k), pairs * width
-    return None, pairs * width
+                i = u - start
+                return (u, v, _first_bit(bad), k), (i * (i + 1) // 2 + v - start + 1) * width
+    t = R.order - start
+    return None, t * (t + 1) // 2 * width
 
 
 def _colon_scan(N: Submodule, hit, skip: int):
@@ -222,7 +256,8 @@ def is_sdf_absorbing_ideal(I: Submodule) -> PropertyReport:
     R = _require_ideal(I)
     I.require_proper()
     ann = _bit_rows(1 << R.zero, R.order)
-    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=1, ann=ann)
+    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=1, ann=ann,
+                              coset=_coset_ids(R, I.indices))
     return _report("sdfideal", found, checked, R)
 
 
@@ -233,7 +268,8 @@ def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> Propert
     restricts the hypothesis to nonzero u, v."""
     R = _require_ideal(I)
     I.require_proper()
-    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only))
+    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only),
+                              coset=_coset_ids(R, I.indices))
     return _report("sdfprimary", found, checked, R)
 
 
@@ -313,12 +349,15 @@ def replay_witness(prop: str, N, u: int, v: int, x: int | None = None) -> bool:
 
 class RingSubset:
     """A plain subset of a ring's elements, for set-wise property checks on
-    carriers that need not be ideals (e.g. I x N inside an idealization)."""
+    carriers that need not be ideals (e.g. I x N inside an idealization).
+    ``subgroup=True`` promises that the subset is an additive subgroup, which
+    lets ``setwise_sdf_primary`` bucket its scan by cosets."""
 
-    def __init__(self, ring, indices):
+    def __init__(self, ring, indices, *, subgroup: bool = False):
         self.ring = ring
         self.indices = tuple(sorted(set(indices)))
         self.mask = mask_of(self.indices)
+        self.subgroup = subgroup
 
     @property
     def order(self):
@@ -331,26 +370,13 @@ class RingSubset:
     def contains(self, i: int) -> bool:
         return bool(self.mask >> i & 1)
 
-    def is_closed_ideal(self) -> bool:
-        R, mask = self.ring, self.mask
-        if not mask >> R.zero & 1:
-            return False
-        for a in self.indices:
-            for b in self.indices:
-                if not mask >> R.add(a, b) & 1:
-                    return False
-            if not mask >> R.neg(a) & 1:
-                return False
-            for r in range(R.order):
-                if not mask >> R.mul(r, a) & 1:
-                    return False
-        return True
-
 
 def setwise_sdf_primary(S: RingSubset, *, nonzero_only: bool = False) -> PropertyReport:
     """The sdf-primary condition evaluated on a bare subset of R."""
     if not S.is_proper:
         raise NotProperError("subset equals the whole ring")
     R = S.ring
-    found, checked = _sd_scan(R, _bit_rows(S.mask, R.order), 1, start=int(nonzero_only))
+    coset = _coset_ids(R, S.indices) if S.subgroup else None
+    found, checked = _sd_scan(R, _bit_rows(S.mask, R.order), 1, start=int(nonzero_only),
+                              coset=coset)
     return _report("sdfprimary", found, checked, R)

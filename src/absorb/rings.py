@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable
 
 from .encodings import AmalgamationCodec, CarrierCodec, CosetCodec, PairCodec
 from .errors import (

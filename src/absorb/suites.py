@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DegenerateLocalizationError, UnknownSuiteError
-from .rings import IdealizationRing, ProductRing, RingHom, ZMod, identity_hom, make_zmod, reduction_hom
+from .rings import IdealizationRing, ProductRing, ZMod, identity_hom, make_zmod, reduction_hom
 from .modules import (
     CyclicModule,
     ModuleHom,
@@ -46,8 +46,6 @@ from .lattice import all_multiplicative_sets, all_submodules, decomposition_chec
 from .predicates import (
     PROPERTY_CHECKS,
     PropertyReport,
-    is_gsdf_absorbing,
-    is_prime_submodule,
     is_sdf_primary_ideal,
     replay_witness,
     setwise_sdf_primary,

@@ -1,12 +1,42 @@
 """Shared helpers: independent naive oracles used to cross-check the
 optimized predicate scanners.  These are written as direct triple loops over
 the definitions, with the power exponent k swept up to |R|, and share no code
-with the scanners under test."""
+with the scanners under test.  ``family()`` builds ``default_family()`` once
+for the tests that sweep it."""
 from __future__ import annotations
+
+import functools
+
+from absorb.suites import default_family
+
+
+@functools.cache
+def family() -> tuple:
+    """``default_family()``, built once per test session: its modules are
+    immutable and their caches only memoize, so tests can share them."""
+    return tuple(default_family())
 
 
 def member(N, idx: int) -> bool:
     return bool((N.mask >> idx) & 1)
+
+
+def is_closed_ideal(S) -> bool:
+    """The ``RingSubset`` S contains 0 and is closed under +, negation and
+    multiplication by R."""
+    R = S.ring
+    if not member(S, R.zero):
+        return False
+    for a in S.indices:
+        for b in S.indices:
+            if not member(S, R.add(a, b)):
+                return False
+        if not member(S, R.neg(a)):
+            return False
+        for r in range(R.order):
+            if not member(S, R.mul(r, a)):
+                return False
+    return True
 
 
 def naive_gsdf(N) -> bool:
@@ -123,8 +153,9 @@ def naive_sdf_ideal(I) -> bool:
 
 
 def naive_sdf_primary_ideal(I, nonzero_only: bool = False) -> bool:
-    """u^2 - v^2 in I implies u - v in I or (u + v)^k in I for some k >= 1."""
-    R = I.module.ring
+    """u^2 - v^2 in I implies u - v in I or (u + v)^k in I for some k >= 1.
+    I is an ideal or a bare ``RingSubset`` (the set-wise condition)."""
+    R = I.ring if hasattr(I, "ring") else I.module.ring
     for u in range(R.order):
         for v in range(R.order):
             if nonzero_only and (u == R.zero or v == R.zero):

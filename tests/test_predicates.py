@@ -20,9 +20,8 @@ from absorb.predicates import (
     setwise_sdf_primary,
 )
 from absorb.rings import IdealizationRing, make_zmod
-from absorb.suites import default_family
 
-from conftest import NAIVE_ORACLES
+from conftest import NAIVE_ORACLES, family, is_closed_ideal
 
 MODULE_PROPS = ("gsdf", "sdf", "cprimary", "prime", "primary")
 IDEAL_PROPS = ("sdfideal", "sdfprimary")
@@ -138,14 +137,14 @@ def test_setwise_sdf_primary_on_actual_ideal_agrees_with_ideal_check():
     M = make_zmod(12).as_module
     for I in all_submodules(M).proper:
         S = RingSubset(M.ring, I.indices)
-        assert S.is_closed_ideal()
+        assert is_closed_ideal(S)
         assert setwise_sdf_primary(S).holds == is_sdf_primary_ideal(I).holds
 
 
 def test_setwise_on_non_ideal_subset():
     R = make_zmod(6)
     S = RingSubset(R, [0, 1])  # contains 1, not an ideal
-    assert not S.is_closed_ideal()
+    assert not is_closed_ideal(S)
 
 
 @given(st.integers(min_value=2, max_value=30), st.data())
@@ -192,7 +191,7 @@ def test_prime_and_primary_witnesses_replay_in_z12():
 
 @pytest.mark.parametrize("prop", MODULE_PROPS)
 def test_every_negative_report_replays_over_default_family(prop):
-    for M in default_family():
+    for M in family():
         for N in all_submodules(M).proper:
             rep = check_property(prop, N)
             if not rep.holds:
