@@ -196,16 +196,15 @@ def idealization_ring(R: FiniteRing, M: FiniteModule) -> IdealizationRing:
 
 
 def idealization_subset(A: IdealizationRing, I: Submodule, N: Submodule):
-    """I x N inside R x M as a plain subset, marked as the additive subgroup
-    it always is, plus whether it is an ideal (equivalent to I M contained
-    in N)."""
+    """I x N inside R x M as a plain subset, plus whether it is an ideal
+    (equivalent to I M contained in N)."""
     R, M = A.base, A.module
     if not (isinstance(I.module, RingAsModule) and I.module.ring.same_ring(R)):
         raise CrossStructureError("first component must be an ideal of the base ring")
     if not N.module.same_module(M):
         raise CrossStructureError("second component must be a submodule of the base module")
     idxs = [A.pack(r, x) for r in I.indices for x in N.indices]
-    subset = RingSubset(A, idxs, subgroup=True)
+    subset = RingSubset(A, idxs)
     is_ideal = all(
         N.contains(M.act(r, x)) for r in I.indices for x in range(M.order)
     )

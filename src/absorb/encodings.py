@@ -65,21 +65,31 @@ class AmalgamationCodec(PairCodec):
         return u, self._second.add(self._f(u), self.offsets[k])
 
 
+def coset_ids(base, kernel) -> list[int]:
+    """The rank of the coset a + K of the subgroup ``kernel`` of ``base``
+    that each element a lies in, cosets ranked by their least member:
+    |base| additions."""
+    add = base.add
+    ids = [-1] * base.order
+    rank = 0
+    for a in range(base.order):
+        if ids[a] < 0:
+            for k in kernel:
+                ids[add(a, k)] = rank
+            rank += 1
+    return ids
+
+
 class CosetCodec:
     """Cosets a + K of a subgroup K of ``base``, ranked by their least
     member, which is the coset's representative."""
 
     def _init_cosets(self, base, kernel) -> None:
-        proj = [-1] * base.order
+        proj = coset_ids(base, kernel)
         reps: list[int] = []
-        for a in range(base.order):
-            if proj[a] >= 0:
-                continue
-            coset = sorted(base.add(a, i) for i in kernel)
-            rank = len(reps)
-            reps.append(coset[0])
-            for c in coset:
-                proj[c] = rank
+        for a, rank in enumerate(proj):
+            if rank == len(reps):
+                reps.append(a)
         self.base = base
         self._reps = reps
         self._proj = proj

@@ -12,7 +12,8 @@ Three scan shapes fix which witness is reported first:
   the set-wise sdf-primary condition): one core, ``_sd_scan``.  The
   hypothesis is symmetric in (u, v), so it walks u ascending and v up to u,
   the u >= v half only, with x innermost.  When the target S is an additive
-  subgroup (an ideal, or a set-wise I x N), u^2 - v^2 lies in S exactly when
+  subgroup (an ideal, or a set-wise subset found to be one, such as every
+  I x N in an idealization), u^2 - v^2 lies in S exactly when
   u^2 and v^2 lie in the same coset of S, so v walks only the bucket of
   elements whose square shares u^2's coset; every pair it skips fails the
   hypothesis, and the first failure is the same.  ``checked_count`` is the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .encodings import coset_ids
 from .errors import NotProperError
 from .modules import (
     FiniteModule,
@@ -59,10 +61,10 @@ class PropertyReport:
 
     ``checked_count`` is the number of (u, v) pairs the scan visited times
     |M| for the five module properties (scalars u visited times |M| for
-    prime and primary).  For the ideal-level and set-wise checks it is the
-    position of the failing pair in the u >= v order (all pairs of that order
-    when none fails), not the number of pairs a coset-bucketed scan tested.
-    It is not the number of x-values tested."""
+    prime and primary), not the number of x-values tested.  For the
+    ideal-level and set-wise checks it is the position of the failing pair
+    in the u >= v order (all pairs of that order when none fails), not the
+    number of pairs a coset-bucketed scan tested."""
 
     property: str
     holds: bool
@@ -109,18 +111,12 @@ def _first_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _coset_ids(R, indices) -> list[int]:
-    """The coset of the additive subgroup ``indices`` that each element of R
-    lies in, numbered in order of their least elements: |R| additions."""
-    add = R.add
-    ids = [-1] * R.order
-    n = 0
-    for a in range(R.order):
-        if ids[a] < 0:
-            for s in indices:
-                ids[add(a, s)] = n
-            n += 1
-    return ids
+def _is_additive_subgroup(S) -> bool:
+    """A finite subset of a ring is an additive subgroup when it contains 0
+    and is closed under +: at most |S|^2 additions, stopping at the first
+    sum outside S."""
+    add, mask, idx = S.ring.add, S.mask, S.indices
+    return S.contains(S.ring.zero) and all(mask >> add(a, b) & 1 for a in idx for b in idx)
 
 
 def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
@@ -130,8 +126,8 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     ``ann`` it is (u + v).x in N, and only x outside ``ann[u] | ann[v]``
     count.  u ascends from ``start`` and v runs from ``start`` to u.
 
-    ``coset`` (one-bit rows only, from ``_coset_ids`` of an additive
-    subgroup S) buckets the elements by the coset of their square: u appends
+    ``coset`` (one-bit rows only, the ``coset_ids`` of an additive subgroup
+    S) buckets the elements by the coset of their square: u appends
     itself to its bucket, and v walks that bucket in ascending order instead
     of every element up to u.  The pairs skipped are the ones with u^2 - v^2
     outside S.
@@ -257,7 +253,7 @@ def is_sdf_absorbing_ideal(I: Submodule) -> PropertyReport:
     I.require_proper()
     ann = _bit_rows(1 << R.zero, R.order)
     found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=1, ann=ann,
-                              coset=_coset_ids(R, I.indices))
+                              coset=coset_ids(R, I.indices))
     return _report("sdfideal", found, checked, R)
 
 
@@ -269,7 +265,7 @@ def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> Propert
     R = _require_ideal(I)
     I.require_proper()
     found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only),
-                              coset=_coset_ids(R, I.indices))
+                              coset=coset_ids(R, I.indices))
     return _report("sdfprimary", found, checked, R)
 
 
@@ -349,15 +345,12 @@ def replay_witness(prop: str, N, u: int, v: int, x: int | None = None) -> bool:
 
 class RingSubset:
     """A plain subset of a ring's elements, for set-wise property checks on
-    carriers that need not be ideals (e.g. I x N inside an idealization).
-    ``subgroup=True`` promises that the subset is an additive subgroup, which
-    lets ``setwise_sdf_primary`` bucket its scan by cosets."""
+    carriers that need not be ideals (e.g. I x N inside an idealization)."""
 
-    def __init__(self, ring, indices, *, subgroup: bool = False):
+    def __init__(self, ring, indices):
         self.ring = ring
         self.indices = tuple(sorted(set(indices)))
         self.mask = mask_of(self.indices)
-        self.subgroup = subgroup
 
     @property
     def order(self):
@@ -372,11 +365,13 @@ class RingSubset:
 
 
 def setwise_sdf_primary(S: RingSubset, *, nonzero_only: bool = False) -> PropertyReport:
-    """The sdf-primary condition evaluated on a bare subset of R."""
+    """The sdf-primary condition evaluated on a bare subset of R.  When S is
+    an additive subgroup (every ideal, and every I x N in an idealization),
+    the scan is bucketed by the cosets of S."""
     if not S.is_proper:
         raise NotProperError("subset equals the whole ring")
     R = S.ring
-    coset = _coset_ids(R, S.indices) if S.subgroup else None
+    coset = coset_ids(R, S.indices) if _is_additive_subgroup(S) else None
     found, checked = _sd_scan(R, _bit_rows(S.mask, R.order), 1, start=int(nonzero_only),
                               coset=coset)
     return _report("sdfprimary", found, checked, R)

@@ -1,6 +1,6 @@
-"""The coset-bucketed square-difference scan: subsets marked as additive
-subgroups, bucketed against walked scans field by field, and the pairs a
-bucketed scan tests, counted rather than timed."""
+"""The coset-bucketed square-difference scan: which subsets are found to be
+additive subgroups, bucketed against walked scans field by field, and the
+pairs a bucketed scan tests, counted rather than timed."""
 import pytest
 
 from absorb.constructions import idealization_subset
@@ -9,6 +9,7 @@ from absorb.modules import span, zero_submodule
 from absorb.predicates import (
     RingSubset,
     _bit_rows,
+    _is_additive_subgroup,
     _report,
     _sd_scan,
     is_sdf_absorbing_ideal,
@@ -41,13 +42,33 @@ def _products(A):
             yield idealization_subset(A, I, N)
 
 
-def test_every_marked_subset_is_an_additive_subgroup():
+def _is_subgroup_naive(S) -> bool:
+    R = S.ring
+    return S.contains(R.zero) and all(
+        S.contains(R.sub(a, b)) for a in S.indices for b in S.indices)
+
+
+def test_every_product_is_found_to_be_an_additive_subgroup():
     for A in _idealization_rings():
         for S, _ in _products(A):
-            assert S.subgroup
-            assert S.contains(A.zero), (A.name, S.indices)
-            assert all(S.contains(A.sub(a, b)) for a in S.indices for b in S.indices), (
-                A.name, S.indices)
+            assert _is_subgroup_naive(S), (A.name, S.indices)
+            assert _is_additive_subgroup(S), (A.name, S.indices)
+
+
+def test_subgroup_test_agrees_with_the_oracle_off_subgroups():
+    R = make_zmod(12)
+    subsets = [RingSubset(R, [t for t in range(12) if m >> t & 1]) for m in range(1, 1 << 12, 7)]
+    for I in all_submodules(R.as_module).members:
+        subsets.append(RingSubset(R, [R.add(i, R.one) for i in I.indices]))
+        subsets.append(RingSubset(R, I.indices + (R.one,)))
+    for S in subsets:
+        assert _is_additive_subgroup(S) == _is_subgroup_naive(S), S.indices
+
+
+def _walked_setwise(S, nonzero_only):
+    R = S.ring
+    rows = _bit_rows(S.mask, R.order)
+    return _report("sdfprimary", *_sd_scan(R, rows, 1, start=int(nonzero_only)), R)
 
 
 @pytest.mark.parametrize("nonzero_only", [False, True])
@@ -58,8 +79,7 @@ def test_bucketed_setwise_scan_matches_the_walk_over_every_product(nonzero_only)
             if not S.is_proper:
                 continue
             rep = setwise_sdf_primary(S, nonzero_only=nonzero_only)
-            walked = setwise_sdf_primary(RingSubset(A, S.indices), nonzero_only=nonzero_only)
-            assert rep == walked, (A.name, S.indices)
+            assert rep == _walked_setwise(S, nonzero_only), (A.name, S.indices)
             assert rep.holds == naive_sdf_primary_ideal(S, nonzero_only), (A.name, S.indices)
             checked += 1
     assert checked > 40
@@ -78,6 +98,8 @@ def test_bucketed_ideal_scans_match_the_walk_over_every_ideal():
                 walked = _report("sdfprimary", *_sd_scan(R, rows, 1, start=int(nonzero_only)), R)
                 rep = is_sdf_primary_ideal(I, nonzero_only=nonzero_only)
                 assert rep == walked, (R.name, I.indices, nonzero_only)
+                bare = setwise_sdf_primary(RingSubset(R, I.indices), nonzero_only=nonzero_only)
+                assert bare == walked, (R.name, I.indices, nonzero_only)
                 assert rep.holds == naive_sdf_primary_ideal(I, nonzero_only), (
                     R.name, I.indices, nonzero_only)
 
