@@ -87,7 +87,7 @@ class FiniteModule:
     def _finalize(self) -> None:
         if self.order < 1:
             raise InvalidOrderError(f"{self.name}: empty carrier")
-        # a ring acting on itself reuses the verified ring operations
+        # a ring acting on itself is checked by its ring, as a module over it
         if not getattr(self, "_trusted_ops", False):
             self._tabulate()
             self._check_axioms()
@@ -280,6 +280,7 @@ class RingAsModule(FiniteModule):
         self.neg = ring.neg
         self.sub = ring.sub
         self.act = ring.mul
+        self.add_t, self.act_t, self.neg_t = ring.add_t, ring.mul_t, ring.neg_t
         self._trusted_ops = True
         self._finalize()
 

@@ -133,13 +133,11 @@ def amalgamation_instances(ring_ns=(6, 12)):
             yield AM, m1, J, desc
 
 
-def default_family():
-    """Every module instance swept by the cross-cutting suites."""
-    yield from zn_family(60)
-    yield from product_family(12)
-    yield from idealization_family()
-    for AM, _m1, _J, _desc in amalgamation_instances():
-        yield AM
+@functools.lru_cache(maxsize=None)
+def default_family() -> tuple:
+    """Every module instance swept by the cross-cutting suites, built once."""
+    amalgamations = (AM for AM, _m1, _J, _desc in amalgamation_instances())
+    return (*zn_family(60), *product_family(12), *idealization_family(), *amalgamations)
 
 
 # ------------------------------------------------------------ classification

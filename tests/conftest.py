@@ -1,20 +1,8 @@
 """Shared helpers: independent naive oracles used to cross-check the
 optimized predicate scanners.  These are written as direct triple loops over
 the definitions, with the power exponent k swept up to |R|, and share no code
-with the scanners under test.  ``family()`` builds ``default_family()`` once
-for the tests that sweep it."""
+with the scanners under test."""
 from __future__ import annotations
-
-import functools
-
-from absorb.suites import default_family
-
-
-@functools.cache
-def family() -> tuple:
-    """``default_family()``, built once per test session: its modules are
-    immutable and their caches only memoize, so tests can share them."""
-    return tuple(default_family())
 
 
 def member(N, idx: int) -> bool:

@@ -17,15 +17,15 @@ from absorb.predicates import (
     setwise_sdf_primary,
 )
 from absorb.rings import IdealizationRing, make_zmod
-from absorb.suites import idealization_family
+from absorb.suites import default_family, idealization_family
 
-from conftest import family, naive_sdf_ideal, naive_sdf_primary_ideal
+from conftest import naive_sdf_ideal, naive_sdf_primary_ideal
 
 
 def _rings():
     """Every ring of ``default_family()``, once each."""
     rings = {}
-    for M in family():
+    for M in default_family():
         rings.setdefault(M.ring.signature, M.ring)
     return tuple(rings.values())
 

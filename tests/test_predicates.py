@@ -20,8 +20,9 @@ from absorb.predicates import (
     setwise_sdf_primary,
 )
 from absorb.rings import IdealizationRing, make_zmod
+from absorb.suites import default_family
 
-from conftest import NAIVE_ORACLES, family, is_closed_ideal
+from conftest import NAIVE_ORACLES, is_closed_ideal
 
 MODULE_PROPS = ("gsdf", "sdf", "cprimary", "prime", "primary")
 IDEAL_PROPS = ("sdfideal", "sdfprimary")
@@ -191,7 +192,7 @@ def test_prime_and_primary_witnesses_replay_in_z12():
 
 @pytest.mark.parametrize("prop", MODULE_PROPS)
 def test_every_negative_report_replays_over_default_family(prop):
-    for M in family():
+    for M in default_family():
         for N in all_submodules(M).proper:
             rep = check_property(prop, N)
             if not rep.holds:

@@ -1,9 +1,13 @@
 """Ring layer: canonical-index arithmetic, constructions, homs, orbits.
 
-ZMod and the ring-as-module view skip their in-constructor axiom scans for
+ZMod and the ring-as-module view skip their in-constructor axiom checks for
 speed, so this file re-verifies those axioms exhaustively and independently.
-The scan itself is tested on structures that break one ring axiom each.
+A derived ring is checked as a module over itself: by the row kernel on every
+triple up to 256 elements, on a fixed-seed sample above.  The check is tested
+on structures that break one ring axiom each, on both paths, and on every
+single-cell change of Z12's tables.
 """
+import random
 import re
 
 import pytest
@@ -13,7 +17,6 @@ from hypothesis import strategies as st
 from absorb.errors import InvalidConstructionError, InvalidOrderError
 from absorb.modules import span, zero_submodule
 from absorb.rings import (
-    AXIOM_EXHAUSTIVE_BOUND,
     FiniteRing,
     ProductRing,
     QuotientRing,
@@ -73,10 +76,10 @@ def _each(f):
 
 def _broken_rings(large):
     """message -> ring ops breaking exactly that axiom; ``large`` gives an
-    order above the exhaustive bound, so the scan samples."""
+    order above 256, so the check samples."""
     plus, times = _each(lambda a, b: a + b), _each(lambda a, b: a * b)
     minus = lambda v: [-a for a in v]
-    q, n = (4, 37) if large else (2, 5)
+    q, n = (7, 263) if large else (2, 5)
     return {
         # upper triangular 2x2 matrices (a b; 0 c)
         "not commutative": _vectors(
@@ -85,8 +88,8 @@ def _broken_rings(large):
             minus, [1, 0, 1]),
         # over F3, a (+) b = a + b + ab(a + b) still distributes, as a^3 = a
         "+ not associative": _vectors(
-            3, 4 if large else 1, _each(lambda a, b: a + b + a * b * (a + b)),
-            times, minus, [1] * (4 if large else 1)),
+            3, 6 if large else 1, _each(lambda a, b: a + b + a * b * (a + b)),
+            times, minus, [1] * (6 if large else 1)),
         # the commutative algebra with basis 1, u, w: u^2 = w, uw = u, w^2 = 0
         "* not associative": _vectors(
             q, 3, plus,
@@ -107,15 +110,61 @@ class _GivenRing(FiniteRing):
         self._finalize()
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("the axiom check sampled")
+
+
+def _table_ops(add_t, mul_t, n):
+    """(order, add, mul, neg, one) of a ring given by its add and mul tables."""
+    return n, lambda i, j: add_t[i][j], lambda i, j: mul_t[i][j], lambda i: -i % n, 1
+
+
 @pytest.mark.parametrize("large", [False, True], ids=["exhaustive", "sampled"])
 @pytest.mark.parametrize("message", sorted(_broken_rings(False)))
-def test_axiom_scan_rejects_each_broken_ring_axiom(message, large):
+def test_axiom_scan_rejects_each_broken_ring_axiom(message, large, monkeypatch):
     order, add, mul, neg, one = ops = _broken_rings(large)[message]
-    assert (order > AXIOM_EXHAUSTIVE_BOUND) == large
+    assert (order > 256) == large  # the row kernel takes rings of at most 256
     if not large:  # the sampled instances are the same rules over bigger carriers
         assert _ring_axiom_failures(*ops) == {message}
+        monkeypatch.setattr(random, "Random", _no_sampling)
     with pytest.raises(InvalidConstructionError, match=re.escape(message)):
         _GivenRing(*ops)
+
+
+def test_axiom_check_rejects_every_single_cell_change_of_z12():
+    n = 12
+    add_t = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul_t = [[a * b % n for b in range(n)] for a in range(n)]
+    _GivenRing(*_table_ops(add_t, mul_t, n))  # the unchanged tables pass
+    caught = 0
+    for table in (add_t, mul_t):
+        for row in table:
+            for j, right in enumerate(row):
+                for value in range(n):
+                    if value != right:
+                        row[j] = value
+                        with pytest.raises(InvalidConstructionError):
+                            _GivenRing(*_table_ops(add_t, mul_t, n))
+                        caught += 1
+                row[j] = right
+    assert caught == 2 * 144 * 11
+
+
+def test_ring_axiom_check_is_exhaustive_up_to_256(monkeypatch):
+    """Building Z12 x Z12 and every amalgamation ring of ``default_family()``
+    (up to 144 elements) draws no random number."""
+    from absorb.suites import amalgamation_instances
+
+    monkeypatch.setattr(random, "Random", _no_sampling)
+    rings = [ProductRing(make_zmod(12), make_zmod(12))]
+    rings += [AM.ring for AM, _m1, _J, _desc in amalgamation_instances()]
+    assert len(rings) == 15 and max(R.order for R in rings) == 144
+    assert all(R.mul_t is not None for R in rings)
+
+
+def test_ring_whose_add_leaves_its_carrier_is_rejected():
+    with pytest.raises(InvalidConstructionError, match="leaves its carrier"):
+        _GivenRing(5, lambda i, j: i + j, lambda i, j: i * j % 5, lambda i: -i % 5, 1)
 
 
 def test_zmod_matches_integer_arithmetic_exhaustively():
@@ -228,12 +277,10 @@ def test_units_of_z12():
 
 
 def test_power_orbit_and_stable_idempotent():
-    from absorb.rings import RingElt, stable_idempotent
-
     R = make_zmod(12)
-    e = stable_idempotent(RingElt(R, 4))
-    assert R.mul(e.index, e.index) == e.index
-    assert e.index == 4  # powers of 4 mod 12: 4, 4, ... already stable
+    e = R.stable_idempotent_raw(4)
+    assert R.mul(e, e) == e
+    assert e == 4  # powers of 4 mod 12: 4, 4, ... already stable
 
 
 def test_power_orbit_raw_covers_all_powers():

@@ -8,6 +8,7 @@ from absorb.rings import make_zmod
 from absorb.suites import (
     SUITE_IDS,
     classify_zn,
+    default_family,
     factorize,
     gsdf_zero_zn,
     is_pk_or_2pk,
@@ -22,6 +23,12 @@ def test_is_pk_or_2pk_frozen_values():
         assert is_pk_or_2pk(n), n
     for n in no:
         assert not is_pk_or_2pk(n), n
+
+
+def test_default_family_is_built_once():
+    family = default_family()
+    assert family is default_family()
+    assert isinstance(family, tuple) and len(family) == 144
 
 
 def test_factorize():
