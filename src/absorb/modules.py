@@ -24,6 +24,7 @@ from .rings import (
     RingHom,
     SubringOnIdempotent,
     ZMod,
+    in_range,
 )
 
 ACTION_SAMPLE_COUNT = 1000
@@ -153,11 +154,11 @@ class FiniteModule:
         in one C call.  Rows shorter than 256 are padded to make translate
         tables; the padding is never read once every entry is in range."""
         R, nm = self.ring, self.order
+        if not all(in_range(t, nm) for t in (self.act_t, self.add_t, [self.neg_t])):
+            raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
         act_b = [bytes(row) for row in self.act_t]  # act_b[r][x] = r.x
         add_b = [bytes(row) for row in self.add_t]  # add_b[x][y] = x + y
         radd, rmul = R.op_tables()
-        if max(map(max, act_b + add_b)) >= nm or max(radd + rmul) >= R.order:
-            raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
         pad_m = bytes(256 - nm)
         act_tab = [row + pad_m for row in act_b]
         add_tab = [row + pad_m for row in add_b]

@@ -31,6 +31,12 @@ _RING_WORDING = {
 }
 
 
+def in_range(rows, n: int) -> bool:
+    """Every entry of the table ``rows`` is an index 0 .. n-1; checked before
+    ``bytes(row)``, which would raise a bare ValueError outside 0 .. 255."""
+    return min(map(min, rows)) >= 0 and max(map(max, rows)) < n
+
+
 class FiniteRing:
     """Base class; subclasses provide index arithmetic and set zero/one."""
 
@@ -125,6 +131,8 @@ class FiniteRing:
             n, add, mul = self.order, self.add, self.mul
             add_t = self.add_t or [[add(i, j) for j in range(n)] for i in range(n)]
             mul_t = self.mul_t or [[mul(i, j) for j in range(n)] for i in range(n)]
+            if not (in_range(add_t, n) and in_range(mul_t, n)):
+                raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
             self._op_tables = (b"".join(map(bytes, add_t)), b"".join(map(bytes, mul_t)))
         return self._op_tables
 

@@ -145,40 +145,15 @@ def default_family() -> tuple:
 
 def is_pk_or_2pk(n: int) -> bool:
     """n = p^k (p prime) or n = 2 p^k (p an odd prime)."""
-    if n <= 1:
-        return False
-    m = n
-    if m % 2 == 0:
-        m //= 2
-        if m == 1:
-            return True  # n = 2
-        if m % 2 == 0:
-            # n divisible by 4: must be a power of 2 outright
-            while m % 2 == 0:
-                m //= 2
-            return m == 1
-        # n = 2 * odd: the odd part must be p^k
-    return _is_prime_power(m)
+    primes = factorize(n)
+    return len(primes) == 1 or (len(primes) == 2 and primes[0] == (2, 1))
 
 
-def _is_prime_power(m: int) -> bool:
-    if m <= 1:
-        return False
-    p = None
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            p = f
-            while m % f == 0:
-                m //= f
-            break
-        f += 1
-    if p is None:
-        return True  # m itself prime
-    return m == 1
-
-
+@functools.lru_cache(maxsize=64)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n by trial division; cached, so a
+    classify row, whose kernel, prediction and column each read them in
+    turn, divides n once."""
     out = []
     f = 2
     while f * f <= n:
@@ -195,39 +170,59 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def gsdf_zero_zn(n: int):
-    """Brute-force pair scan deciding whether (0) is gsdf-absorbing in Z_n,
-    specialized to Z_n so the hit masks come from divisor arithmetic instead
-    of a full action table.  Same scan order and witness as
-    is_gsdf_absorbing on the zero submodule of Z_n (verified in tests)."""
-    div_mask: dict[int, int] = {}
+    """Decide whether (0) is gsdf-absorbing in Z_n on the divisor classes of
+    n, with the witness ``is_gsdf_absorbing`` gives on the zero submodule of
+    Z_n (verified in tests).  It never consults the p^k / 2p^k prediction.
 
-    def multiples(m: int) -> int:
-        if m not in div_mask:
-            v = 0
-            for x in range(0, n, m):
-                v |= 1 << x
-            div_mask[m] = v
-        return div_mask[m]
+    A pair u >= v fails at x when (u-v)(u+v).x = 0, (u-v).x != 0 and
+    (u+v)^k.x != 0 for every k.  Write H_m for the multiples of n/m, the
+    subgroup of order m of Z_n, for m | n.
 
-    hit = [multiples(n // gcd(t, n)) for t in range(n)]
-    reach: dict[int, int] = {}
+    - {x : t.x = 0} is H_gcd(t, n): it depends only on gcd(t, n).
+    - With a = gcd(u-v, n) and b = gcd(u+v, n), gcd((u-v)(u+v), n) is
+      gcd(ab, n) =: c, and a | c.
+    - {x : (u+v)^k.x = 0 for some k} is H_b', where b' is the product of
+      the full prime powers p^e || n over the primes p | b.
+    - So (u, v) fails exactly at the x of H_c outside H_a and H_b'.  A group
+      is never the union of two proper subgroups, so H_c lies in
+      H_a u H_b' iff it lies in one of them: (u, v) fails iff c != a and
+      c does not divide b'.
+    - Every pair of divisors (a, b) comes from some u >= v when n is odd,
+      as 2 is then a unit and (u-v, u+v) ranges over all of Z_n^2.  When n
+      is even, u-v and u+v have the same parity, and d = u-v, s = u+v is
+      solvable (2u = d + s) whenever d + s is even, so exactly the pairs
+      with a = b (mod 2) occur.  Swapping u and v changes neither a nor b.
+
+    Hence (0) holds iff no such divisor pair fails, which takes tau(n)^2
+    steps.  Otherwise the pairs are walked u >= v in scan order up to the
+    first one in a failing class, and x = n/c: the least positive element
+    of H_c, outside H_a as c != a and outside H_b' as c does not divide b'.
+    """
+    primes = factorize(n)
+    divisors = [1]
+    for p, e in primes:
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    failing = {}
+    for b in divisors:
+        full = 1
+        for p, e in primes:
+            if b % p == 0:
+                full *= p**e
+        for a in divisors:
+            if n % 2 == 0 and (a - b) % 2:
+                continue
+            c = gcd(a * b, n)
+            if c != a and full % c:
+                failing[a, b] = n // c
+    if not failing:
+        return True, None
+    g = [gcd(t, n) for t in range(n)] * 2  # g[t] = gcd(t, n) for 0 <= t < 2n
     for u in range(n):
         for v in range(u + 1):
-            d = (u - v) % n
-            s = (u + v) % n
-            bad = hit[d * s % n] & ~hit[d]
-            if not bad:
-                continue
-            if s not in reach:
-                g = gcd(s, n) if s else n
-                while gcd(g * g, n) != g:
-                    g = gcd(g * g, n)
-                reach[s] = multiples(n // g)
-            bad &= ~reach[s]
-            if bad:
-                x = (bad & -bad).bit_length() - 1
+            x = failing.get((g[u - v], g[u + v]))
+            if x is not None:
                 return False, (u, v, x)
-    return True, None
+    raise AssertionError("a failing divisor class comes from some pair")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ the definitions, with the power exponent k swept up to |R|, and share no code
 with the scanners under test."""
 from __future__ import annotations
 
+from math import gcd
+
 
 def member(N, idx: int) -> bool:
     return bool((N.mask >> idx) & 1)
@@ -160,6 +162,41 @@ def naive_sdf_primary_ideal(I, nonzero_only: bool = False) -> bool:
             else:
                 return False
     return True
+
+
+def naive_gsdf_zero_zn(n: int):
+    """(holds, witness) of gsdf for (0) in Z_n by a bitmask scan of every
+    pair u >= v: hit masks from divisor arithmetic, the first failing x
+    the lowest set bit of the failing mask."""
+    div_mask: dict[int, int] = {}
+
+    def multiples(m: int) -> int:
+        if m not in div_mask:
+            v = 0
+            for x in range(0, n, m):
+                v |= 1 << x
+            div_mask[m] = v
+        return div_mask[m]
+
+    hit = [multiples(n // gcd(t, n)) for t in range(n)]
+    reach: dict[int, int] = {}
+    for u in range(n):
+        for v in range(u + 1):
+            d = (u - v) % n
+            s = (u + v) % n
+            bad = hit[d * s % n] & ~hit[d]
+            if not bad:
+                continue
+            if s not in reach:
+                g = gcd(s, n) if s else n
+                while gcd(g * g, n) != g:
+                    g = gcd(g * g, n)
+                reach[s] = multiples(n // g)
+            bad &= ~reach[s]
+            if bad:
+                x = (bad & -bad).bit_length() - 1
+                return False, (u, v, x)
+    return True, None
 
 
 NAIVE_ORACLES = {

@@ -181,6 +181,26 @@ def test_axiom_check_rejects_an_action_leaving_the_carrier():
                      lambda r, x: 3 if r == 2 and x == 2 else r * x % 3, lambda x: -x % 3)
 
 
+@pytest.mark.parametrize("offset", [300, -5])
+def test_axiom_check_rejects_an_action_leaving_the_byte_range(offset):
+    with pytest.raises(InvalidConstructionError, match="leaves its carrier"):
+        _GivenModule(make_zmod(5), 5, lambda x, y: (x + y) % 5,
+                     lambda r, x: r * x % 5 + (offset if r == 4 else 0), lambda x: -x % 5)
+
+
+@pytest.mark.parametrize("offset", [300, -5])
+def test_axiom_check_rejects_a_ring_mul_leaving_the_byte_range(offset):
+    """ZMod is trusted and never checks itself; the module over it reads
+    its tables and must reject them cleanly."""
+
+    class LeakyZ5(ZMod):
+        def mul(self, i, j):
+            return i * j % 5 + (offset if i == 4 else 0)
+
+    with pytest.raises(InvalidConstructionError, match="leaves its carrier"):
+        CyclicModule(LeakyZ5(5), 5)
+
+
 def test_axiom_check_catches_every_single_cell_change_z6_over_z12():
     """Over Z_n the action is forced, so a change to any one cell of the add
     or action table of Z6 (36 + 72 cells, to each of 5 other values) breaks

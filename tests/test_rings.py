@@ -167,6 +167,14 @@ def test_ring_whose_add_leaves_its_carrier_is_rejected():
         _GivenRing(5, lambda i, j: i + j, lambda i, j: i * j % 5, lambda i: -i % 5, 1)
 
 
+@pytest.mark.parametrize("offset", [300, -5])
+def test_ring_whose_add_leaves_the_byte_range_is_rejected(offset):
+    """Entries outside 0..255 are caught before the tables become bytes."""
+    with pytest.raises(InvalidConstructionError, match="leaves its carrier"):
+        _GivenRing(5, lambda i, j: (i + j) % 5 + (offset if i == 4 else 0),
+                   lambda i, j: i * j % 5, lambda i: -i % 5, 1)
+
+
 def test_zmod_matches_integer_arithmetic_exhaustively():
     # independent re-verification: ZMod trusts its ops at construction time
     for n in (2, 5, 12):

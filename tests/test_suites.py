@@ -1,6 +1,10 @@
 """Verification suites and the Z_n classification machinery."""
-import pytest
+from math import gcd
 
+import pytest
+from conftest import naive_gsdf_zero_zn
+
+from absorb import suites
 from absorb.errors import UnknownSuiteError
 from absorb.modules import zero_submodule
 from absorb.predicates import is_gsdf_absorbing
@@ -25,6 +29,46 @@ def test_is_pk_or_2pk_frozen_values():
         assert not is_pk_or_2pk(n), n
 
 
+def _old_is_pk_or_2pk(n: int) -> bool:
+    """is_pk_or_2pk as it was before it read factorize, an oracle."""
+    if n <= 1:
+        return False
+    m = n
+    if m % 2 == 0:
+        m //= 2
+        if m == 1:
+            return True  # n = 2
+        if m % 2 == 0:
+            # n divisible by 4: must be a power of 2 outright
+            while m % 2 == 0:
+                m //= 2
+            return m == 1
+        # n = 2 * odd: the odd part must be p^k
+    return _old_is_prime_power(m)
+
+
+def _old_is_prime_power(m: int) -> bool:
+    if m <= 1:
+        return False
+    p = None
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            p = f
+            while m % f == 0:
+                m //= f
+            break
+        f += 1
+    if p is None:
+        return True  # m itself prime
+    return m == 1
+
+
+def test_is_pk_or_2pk_matches_its_trial_division_form():
+    for n in range(-2, 5001):
+        assert is_pk_or_2pk(n) == _old_is_pk_or_2pk(n), n
+
+
 def test_default_family_is_built_once():
     family = default_family()
     assert family is default_family()
@@ -44,6 +88,28 @@ def test_specialized_zn_scanner_matches_generic_checker(n):
     assert holds == rep.holds, n
     if not holds:
         assert witness == rep.witness.as_tuple(), n
+
+
+def test_divisor_class_kernel_matches_the_pair_scan():
+    for n in range(2, 301):
+        assert gsdf_zero_zn(n) == naive_gsdf_zero_zn(n), n
+
+
+def test_divisor_class_kernel_decides_large_n_without_a_pair_walk(monkeypatch):
+    """Z_10007, Z_4374 = 2 * 3^7 and Z_4096 hold; their verdicts take a gcd
+    per divisor pair, not one per element pair."""
+    calls = 0
+
+    def counted_gcd(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("the kernel walked element pairs")
+        return gcd(a, b)
+
+    monkeypatch.setattr(suites, "gcd", counted_gcd)
+    for n in (10007, 4374, 4096):
+        assert gsdf_zero_zn(n) == (True, None), n
 
 
 def test_classify_small():
