@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size bounds whose
+breach raises SizeBoundError."""
+import os
+
+
+def env_bound(name: str, default: int) -> int:
+    """The size bound set by the environment variable ``name``, or
+    ``default`` when it is unset or empty."""
+    raw = os.environ.get(name)
+    return int(raw) if raw else default
 
 
 class AbsorbError(Exception):

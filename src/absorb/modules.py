@@ -8,6 +8,7 @@ Submodule carriers are kept both as sorted index tuples and as bit masks
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
 from .encodings import CarrierCodec, CosetCodec, PairCodec
 from .errors import (
@@ -15,6 +16,8 @@ from .errors import (
     InvalidConstructionError,
     InvalidOrderError,
     NotProperError,
+    SizeBoundError,
+    env_bound,
 )
 from .rings import (
     TABULATE_BOUND,
@@ -24,7 +27,7 @@ from .rings import (
     RingHom,
     SubringOnIdempotent,
     ZMod,
-    in_range,
+    byte_rows,
 )
 
 ACTION_SAMPLE_COUNT = 1000
@@ -32,6 +35,9 @@ _SAMPLE_SEED = 0xB0B
 # hit-row targets kept per module: a submodule's mask and the zero mask
 # (for sdf's annihilator rows), with room for the previous submodule's
 HIT_ROW_CACHE_SIZE = 4
+# hit rows cost |R| * |M| cells; above the bound a scan is refused
+DEFAULT_SCAN_BOUND = 1 << 24
+_SCAN_BOUND_ENV = "ABSORB_SCAN_BOUND"
 
 
 def mask_of(indices) -> int:
@@ -50,6 +56,18 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mask_lut(mask: int, n: int) -> bytes:
+    """The translate table of a subset of 0 .. n-1 (n <= 256): byte y is
+    b"1" when bit y of ``mask`` is set, else b"0"."""
+    return format(mask, f"0{n}b")[::-1].encode().ljust(256, b"0")
+
+
+def preimage_mask(row: bytes, lut: bytes) -> int:
+    """Mask of the positions x whose entry ``row[x]`` is in the subset of
+    ``lut``: one translate, read back as a binary numeral."""
+    return int(row.translate(lut)[::-1], 2)
+
+
 class FiniteModule:
     """Base class for finite unital modules."""
 
@@ -57,11 +75,11 @@ class FiniteModule:
     order: int
     name: str
     zero: int
-    # operation tables, set by _tabulate on small modules: add_t[i][j] = i + j,
-    # act_t[r][x] = r.x, neg_t[i] = -i
-    add_t: list[list[int]] | None = None
-    act_t: list[list[int]] | None = None
-    neg_t: list[int] | None = None
+    # operation tables, set by _tabulate on small modules: bytes rows
+    # add_t[i][j] = i + j and act_t[r][x] = r.x, and bytes neg_t[i] = -i
+    add_t: list[bytes] | None = None
+    act_t: list[bytes] | None = None
+    neg_t: bytes | None = None
 
     def add(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -95,23 +113,24 @@ class FiniteModule:
 
     def _tabulate(self) -> None:
         """Swap the structural add/act/neg for lookups in ``add_t``, ``act_t``
-        and ``neg_t`` when the module is small; scanners call these millions
-        of times."""
+        and ``neg_t`` when |M| * (|M| + |R|) <= TABULATE_BOUND, which keeps
+        every entry below 256."""
         nr, nm = self.ring.order, self.order
         if nm * (nm + nr) > TABULATE_BOUND:
             return
-        add, act, neg = self.add, self.act, self.neg
-        self.add_t = add_t = [[add(i, j) for j in range(nm)] for i in range(nm)]
-        self.act_t = act_t = [[act(r, x) for x in range(nm)] for r in range(nr)]
-        self.neg_t = neg_t = [neg(i) for i in range(nm)]
-        self.add = lambda i, j, _t=add_t: _t[i][j]
-        self.act = lambda r, x, _t=act_t: _t[r][x]
-        self.neg = lambda i, _t=neg_t: _t[i]
-        self.sub = lambda i, j, _a=add_t, _n=neg_t: _a[i][_n[j]]
+        add, act, cols = self.add, self.act, range(nm)
+        self.add_t = add_t = byte_rows((map(add, repeat(i), cols) for i in cols), nm, self.name)
+        self.act_t = act_t = byte_rows((map(act, repeat(r), cols) for r in range(nr)), nm,
+                                       self.name)
+        self.neg_t = neg_t = byte_rows([map(self.neg, cols)], nm, self.name)[0]
+        self.add = lambda i, j: add_t[i][j]
+        self.act = lambda r, x: act_t[r][x]
+        self.neg = neg_t.__getitem__
+        self.sub = lambda i, j: add_t[i][neg_t[j]]
 
     def _check_axioms(self) -> None:
         nr, nm = self.ring.order, self.order
-        if self.act_t is not None and nr <= 256 and nm <= 256:
+        if self.act_t is not None and self.ring.add_t is not None:
             self._check_axiom_rows()
             return
         rng = random.Random(_SAMPLE_SEED)
@@ -149,22 +168,20 @@ class FiniteModule:
             raise InvalidConstructionError(f"{self.name}: 0 + x = x fails")
 
     def _check_axiom_rows(self) -> None:
-        """Every axiom on every triple, with the tables as bytes and no Python
-        loop over triples: ``row.translate(tab)`` is ``[tab[i] for i in row]``
-        in one C call.  Rows shorter than 256 are padded to make translate
-        tables; the padding is never read once every entry is in range."""
+        """Every axiom on every triple, read off the byte-row tables of M and
+        R with no Python loop over triples: ``row.translate(tab)`` is
+        ``[tab[i] for i in row]`` in one C call.  Rows shorter than 256 are
+        padded to make translate tables; the padding is never read, as
+        ``_tabulate`` checked every entry."""
         R, nm = self.ring, self.order
-        if not all(in_range(t, nm) for t in (self.act_t, self.add_t, [self.neg_t])):
-            raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
-        act_b = [bytes(row) for row in self.act_t]  # act_b[r][x] = r.x
-        add_b = [bytes(row) for row in self.add_t]  # add_b[x][y] = x + y
-        radd, rmul = R.op_tables()
+        act_b, add_b = self.act_t, self.add_t  # act_b[r][x] = r.x, add_b[x][y] = x + y
+        radd, rmul = b"".join(R.add_t), b"".join(R.mul_t)
         pad_m = bytes(256 - nm)
         act_tab = [row + pad_m for row in act_b]
         add_tab = [row + pad_m for row in add_b]
         pad_r = bytes(256 - R.order)
         join, sums = b"".join, add_tab.__getitem__
-        for col in map(bytes, zip(*self.act_t)):  # col[r] = r.x, one per x
+        for col in map(bytes, zip(*act_b)):  # col[r] = r.x, one per x
             col_tab = col + pad_r
             # over all (r, s): (r+s)x = rx + sx and (rs)x = r(sx)
             if radd.translate(col_tab) != join(map(col.translate, map(sums, col))):
@@ -176,7 +193,7 @@ class FiniteModule:
             # over all (x, y): r(x+y) = rx + ry
             if add_all.translate(tab) != join(map(row.translate, map(sums, row))):
                 raise InvalidConstructionError(f"{self.name}: r(x+y) axiom fails")
-        if add_all != join(map(bytes, zip(*self.add_t))):
+        if add_all != join(map(bytes, zip(*add_b))):
             raise InvalidConstructionError(f"{self.name}: + not commutative")
         if act_b[R.one] != bytes(range(nm)):
             raise InvalidConstructionError(f"{self.name}: 1x = x fails")
@@ -200,6 +217,11 @@ class FiniteModule:
     def scalar_hit_masks(self, target_mask: int) -> tuple[int, ...]:
         """For each scalar t, the bit mask of {x : t.x lands in target_mask}.
 
+        With tables, row t is ``act_t[t]`` translated through the target's
+        membership table, one C call per scalar; other modules act per
+        cell.  Raises SizeBoundError, before any action, when the |R| * |M|
+        cells exceed ABSORB_SCAN_BOUND (default 2^24).
+
         Cache scopes: the rows are cached per module object, for the 4
         (``HIT_ROW_CACHE_SIZE``) most recently requested targets, so the
         scanners deciding several properties of one submodule build them
@@ -210,16 +232,26 @@ class FiniteModule:
         cache = self.__dict__.setdefault("_hit_rows", {})
         rows = cache.pop(target_mask, None)
         if rows is None:
-            act = self.act
-            nm = self.order
-            out = []
-            for t in range(self.ring.order):
-                m = 0
-                for x in range(nm):
-                    if target_mask >> act(t, x) & 1:
-                        m |= 1 << x
-                out.append(m)
-            rows = tuple(out)
+            nr, nm = self.ring.order, self.order
+            bound = env_bound(_SCAN_BOUND_ENV, DEFAULT_SCAN_BOUND)
+            if nr * nm > bound:
+                raise SizeBoundError(
+                    f"{self.name}: {nr} x {nm} hit-row cells exceed {bound}; "
+                    f"raise {_SCAN_BOUND_ENV}"
+                )
+            if self.act_t is not None:
+                lut = mask_lut(target_mask, nm)
+                rows = tuple(preimage_mask(row, lut) for row in self.act_t)
+            else:
+                act = self.act
+                out = []
+                for t in range(nr):
+                    m = 0
+                    for x in range(nm):
+                        if target_mask >> act(t, x) & 1:
+                            m |= 1 << x
+                    out.append(m)
+                rows = tuple(out)
             if len(cache) >= HIT_ROW_CACHE_SIZE:
                 del cache[next(iter(cache))]  # least recently used
         cache[target_mask] = rows
@@ -281,9 +313,13 @@ class RingAsModule(FiniteModule):
         self.neg = ring.neg
         self.sub = ring.sub
         self.act = ring.mul
-        self.add_t, self.act_t, self.neg_t = ring.add_t, ring.mul_t, ring.neg_t
         self._trusted_ops = True
         self._finalize()
+
+    # the ring's own tables, which Z_n builds on first use
+    add_t = property(lambda self: self.ring.add_t)
+    act_t = property(lambda self: self.ring.mul_t)
+    neg_t = property(lambda self: self.ring.neg_t)
 
     def describe(self, x):
         return self.ring.describe(x)

@@ -26,6 +26,7 @@ Three scan shapes fix which witness is reported first:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .encodings import coset_ids
 from .errors import NotProperError
@@ -119,6 +120,40 @@ def _is_additive_subgroup(S) -> bool:
     return S.contains(S.ring.zero) and all(mask >> add(a, b) & 1 for a in idx for b in idx)
 
 
+class _OpRow:
+    """Row u of a binary operation of a ring above 256 elements, which has no
+    tables: entry v is ``op(u, v)``, computed when it is read."""
+
+    __slots__ = ("op", "u")
+
+    def __init__(self, op, u: int):
+        self.op, self.u = op, u
+
+    def __getitem__(self, v: int) -> int:
+        return self.op(self.u, v)
+
+
+def _sd_rows(R):
+    """``(rows, sq)`` for the square-difference scan: ``rows(u)`` is (d, s,
+    h) with d[v] = u - v, s[v] = u + v and h[v] = u^2 - v^2, which is
+    (u - v)(u + v) as R is commutative, and sq[v] = v^2.  With tables, each
+    row is one translate of an add row; rings above 256 elements compute each
+    entry on demand."""
+    n, add_t = R.order, R.add_t
+    if add_t is None:
+        sub, sq = R.sub, [R.mul(v, v) for v in range(n)]
+
+        def minus_sq(a, v):
+            return sub(a, sq[v])
+
+        return (lambda u: (_OpRow(sub, u), _OpRow(R.add, u), _OpRow(minus_sq, sq[u]))), sq
+    neg_t, mul_t, pad = R.neg_t, R.mul_t, bytes(256 - n)
+    sq = bytes(mul_t[v][v] for v in range(n))
+    neg_sq = sq.translate(neg_t + pad)  # neg_sq[v] = -v^2
+    return (lambda u: (neg_t.translate(add_t[u] + pad), add_t[u],
+                       neg_sq.translate(add_t[sq[u]] + pad))), sq
+
+
 def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     """The square-difference scan: (u^2 - v^2).x in N implies (u - v).x in
     N or a conclusion on u + v.  Without ``ann`` that conclusion is
@@ -126,38 +161,40 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     ``ann`` it is (u + v).x in N, and only x outside ``ann[u] | ann[v]``
     count.  u ascends from ``start`` and v runs from ``start`` to u.
 
+    For each u, one list comprehension over u's rows (``_sd_rows``) keeps
+    the v whose hypothesis holds and whose (u - v) conclusion fails; only
+    those reach the conclusion test on u + v, in scan order.
+
     ``coset`` (one-bit rows only, the ``coset_ids`` of an additive subgroup
     S) buckets the elements by the coset of their square: u appends
     itself to its bucket, and v walks that bucket in ascending order instead
     of every element up to u.  The pairs skipped are the ones with u^2 - v^2
-    outside S.
+    outside S, and on the bucket it lies in S, so only u - v is tested.
 
     Returns the first failure (u, v, x, k_bound), or None, and its position
     in the u >= v order of pairs from ``start`` (all T(T+1)/2 pairs, with
     T = |R| - start, when none fails) times ``width``."""
-    sub, add, mul = R.sub, R.add, R.mul
+    rows, sq = _sd_rows(R)
     reach: dict[int, int] = {}
     buckets: dict[int, list[int]] = {}
     for u in range(start, R.order):
+        d, s, h = rows(u)
         if coset is None:
-            vs = range(start, u + 1)
+            kept = [(v, b) for v in range(start, u + 1) if (b := hit[h[v]] & ~hit[d[v]])]
         else:
-            vs = buckets.setdefault(coset[mul(u, u)], [])
+            vs = buckets.setdefault(coset[sq[u]], [])
             vs.append(u)
-        for v in vs:
-            d = sub(u, v)
-            s = add(u, v)
-            bad = hit[mul(d, s)] & ~hit[d]
-            if not bad:
-                continue
+            kept = [(v, 1) for v in vs if not hit[d[v]]]
+        for v, bad in kept:
+            t = s[v]
             if ann is not None:
-                bad &= ~(hit[s] | ann[u] | ann[v])
+                bad &= ~(hit[t] | ann[u] | ann[v])
             else:
-                if s not in reach:
-                    reach[s] = _power_reach_mask(R, hit, s)
-                bad &= ~reach[s]
+                if t not in reach:
+                    reach[t] = _power_reach_mask(R, hit, t)
+                bad &= ~reach[t]
             if bad:
-                k = 1 if ann is not None else _orbit_len(R, s)
+                k = 1 if ann is not None else _orbit_len(R, t)
                 i = u - start
                 return (u, v, _first_bit(bad), k), (i * (i + 1) // 2 + v - start + 1) * width
     t = R.order - start
@@ -208,21 +245,19 @@ def is_classical_primary(N: Submodule) -> PropertyReport:
     M = N.module
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
+    n = R.order
+    mul_row = R.mul_t.__getitem__ if R.mul_t is not None else partial(_OpRow, R.mul)
     reach_cache: dict[int, int] = {}
-    checked = 0
-    for u in range(R.order):
-        for v in range(R.order):
-            checked += M.order
-            bad = hit[R.mul(u, v)] & ~hit[u]
-            if not bad:
-                continue
+    for u in range(n):
+        m, outside = mul_row(u), ~hit[u]
+        for v, bad in [(v, b) for v in range(n) if (b := hit[m[v]] & outside)]:
             if v not in reach_cache:
                 reach_cache[v] = _power_reach_mask(R, hit, v)
             bad &= ~reach_cache[v]
             if bad:
                 found = (u, v, _first_bit(bad), _orbit_len(R, v))
-                return _report("cprimary", found, checked, R, M)
-    return _report("cprimary", None, checked, R)
+                return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
+    return _report("cprimary", None, n * n * M.order, R)
 
 
 def is_primary_submodule(N: Submodule) -> PropertyReport:

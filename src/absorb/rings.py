@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import repeat
 
 from .encodings import AmalgamationCodec, CarrierCodec, CosetCodec, PairCodec
 from .errors import (
@@ -31,10 +32,16 @@ _RING_WORDING = {
 }
 
 
-def in_range(rows, n: int) -> bool:
-    """Every entry of the table ``rows`` is an index 0 .. n-1; checked before
-    ``bytes(row)``, which would raise a bare ValueError outside 0 .. 255."""
-    return min(map(min, rows)) >= 0 and max(map(max, rows)) < n
+def byte_rows(rows, n: int, name: str) -> list[bytes]:
+    """The table ``rows`` (iterables of element indices) as bytes rows,
+    every entry checked, once, to be an index 0 .. n-1."""
+    try:
+        table = [bytes(row) for row in rows]
+    except ValueError:  # an entry outside 0 .. 255
+        table = None
+    if table is None or max(map(max, table)) >= n:
+        raise InvalidConstructionError(f"{name}: an operation leaves its carrier")
+    return table
 
 
 class FiniteRing:
@@ -44,9 +51,11 @@ class FiniteRing:
     name: str
     zero: int
     one: int
-    # operation tables, set by _tabulate on small derived rings:
-    # add_t[i][j] = i + j, mul_t[i][j] = ij, neg_t[i] = -i
-    add_t = mul_t = neg_t = None
+    # operation tables, set by _tabulate (None above 256 elements): bytes
+    # rows add_t[i][j] = i + j and mul_t[i][j] = ij, and bytes neg_t[i] = -i
+    add_t: list[bytes] | None
+    mul_t: list[bytes] | None
+    neg_t: bytes | None
 
     def add(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -81,27 +90,31 @@ class FiniteRing:
         self._orbit_cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._unit_cache: frozenset[int] | None = None
         self._as_module = None
-        self._op_tables = None
         # direct modular arithmetic needs no axiom check (the test suite
         # verifies it); a derived ring is checked as its own as_module
         if not getattr(self, "_trusted_ops", False):
             self._tabulate()
+            if self.add_t is not None:  # lookups for element-by-element callers
+                add_t, mul_t, neg_t = self.add_t, self.mul_t, self.neg_t
+                self.add = lambda i, j: add_t[i][j]
+                self.mul = lambda i, j: mul_t[i][j]
+                self.neg = neg_t.__getitem__
+                self.sub = lambda i, j: add_t[i][neg_t[j]]
             self._check_axioms()
 
     def _tabulate(self) -> None:
-        """Swap add/mul/neg for lookups in ``add_t``, ``mul_t`` and ``neg_t``
-        when the ring is small; the scanners call these millions of times."""
+        """Set ``add_t``, ``mul_t`` and ``neg_t`` from add/mul/neg when the
+        ring has at most 256 elements (n^2 <= TABULATE_BOUND), else None."""
         n = self.order
-        if n * n > TABULATE_BOUND:
-            return
-        add, mul, neg = self.add, self.mul, self.neg
-        self.add_t = add_t = [[add(i, j) for j in range(n)] for i in range(n)]
-        self.mul_t = mul_t = [[mul(i, j) for j in range(n)] for i in range(n)]
-        self.neg_t = neg_t = [neg(i) for i in range(n)]
-        self.add = lambda i, j, _t=add_t: _t[i][j]
-        self.mul = lambda i, j, _t=mul_t: _t[i][j]
-        self.neg = lambda i, _t=neg_t: _t[i]
-        self.sub = lambda i, j, _a=add_t, _n=neg_t: _a[i][_n[j]]
+        tables = None, None, None
+        if n * n <= TABULATE_BOUND:
+            add, mul, cols = self.add, self.mul, range(n)
+            tables = (
+                byte_rows((map(add, repeat(i), cols) for i in cols), n, self.name),
+                byte_rows((map(mul, repeat(i), cols) for i in cols), n, self.name),
+                byte_rows([map(self.neg, cols)], n, self.name)[0],
+            )
+        self.add_t, self.mul_t, self.neg_t = tables
 
     def _check_axioms(self) -> None:
         """R is a module over itself exactly when it satisfies every ring
@@ -122,19 +135,6 @@ class FiniteRing:
             commutes = all(mul(a, b) == mul(b, a) for a, b in pairs)
         if not commutes:
             raise InvalidConstructionError(f"{self.name}: not commutative")
-
-    def op_tables(self) -> tuple[bytes, bytes]:
-        """The add and mul tables as flat bytes, ``add[i * order + j]`` being
-        i + j; only for order <= 256.  Cached on the ring: the axiom check of
-        every module over it reads them."""
-        if self._op_tables is None:
-            n, add, mul = self.order, self.add, self.mul
-            add_t = self.add_t or [[add(i, j) for j in range(n)] for i in range(n)]
-            mul_t = self.mul_t or [[mul(i, j) for j in range(n)] for i in range(n)]
-            if not (in_range(add_t, n) and in_range(mul_t, n)):
-                raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
-            self._op_tables = (b"".join(map(bytes, add_t)), b"".join(map(bytes, mul_t)))
-        return self._op_tables
 
     def elt(self, i: int) -> "RingElt":
         if not 0 <= i < self.order:
@@ -243,8 +243,26 @@ class RingElt:
         return self.ring.describe(self.index)
 
 
+class _TabulatedOnFirstRead:
+    """A table attribute of Z_n: the first read runs ``_tabulate``, which
+    stores all three tables on the ring, where later reads find them."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ring, owner=None):
+        if ring is None:
+            return self
+        ring._tabulate()
+        return ring.__dict__[self.name]
+
+
 class ZMod(FiniteRing):
     """Z/nZ with elements 0..n-1."""
+
+    # Z_n tabulates itself on first use, never at construction: ``classify``
+    # makes Z_n for every n up to its bound and reads no table
+    add_t, mul_t, neg_t = _TabulatedOnFirstRead(), _TabulatedOnFirstRead(), _TabulatedOnFirstRead()
 
     def __init__(self, n: int):
         if n < 2:
@@ -268,6 +286,21 @@ class ZMod(FiniteRing):
 
     def sub(self, i, j):
         return (i - j) % self.n
+
+    def _tabulate(self) -> None:
+        """Row i of the add table is 0 .. n-1 rotated by i, and row i of the
+        mul table every i-th entry of i copies of 0 .. n-1: n^2 entries in
+        O(n) C calls.  A subclass with arithmetic of its own is tabulated,
+        and range-checked, from its operations."""
+        n, cls = self.n, type(self)
+        if n > 256 or (cls.add, cls.mul, cls.neg) != (ZMod.add, ZMod.mul, ZMod.neg):
+            super()._tabulate()
+            return
+        cyc = bytes(range(n))
+        twice = cyc + cyc
+        self.add_t = [twice[i:i + n] for i in range(n)]
+        self.mul_t = [bytes(n)] + [(cyc * i)[::i] for i in range(1, n)]
+        self.neg_t = bytes(-i % n for i in range(n))
 
     def describe(self, i):
         return str(i)

@@ -199,6 +199,55 @@ def naive_gsdf_zero_zn(n: int):
     return True, None
 
 
+def naive_hit_rows(M, target_mask: int) -> tuple[int, ...]:
+    """For each scalar t, the mask of {x : t.x in target_mask}, one ``act``
+    call per cell."""
+    act = M.act
+    out = []
+    for t in range(M.ring.order):
+        m = 0
+        for x in range(M.order):
+            if target_mask >> act(t, x) & 1:
+                m |= 1 << x
+        out.append(m)
+    return tuple(out)
+
+
+def naive_all_submodules(M) -> list[tuple[int, ...]]:
+    """The sorted index tuples of every submodule of M, ordered by size: the
+    set of cyclic submodules closed under join with a cyclic one, each join
+    built one coset base + j at a time by element additions."""
+    add, nr = M.add, M.ring.order
+
+    def orbit(x):
+        out = 0
+        for r in range(nr):
+            out |= 1 << M.act(r, x)
+        return out
+
+    def elems(mask):
+        return [i for i in range(M.order) if mask >> i & 1]
+
+    cyclic = sorted({orbit(x) for x in range(M.order)})
+    seen = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        base = frontier.pop()
+        belems = elems(base)
+        for c in cyclic:
+            if c & ~base == 0:
+                continue
+            joined = base
+            for j in elems(c & ~base):
+                if not joined >> j & 1:
+                    for i in belems:
+                        joined |= 1 << add(i, j)
+            if joined not in seen:
+                seen.add(joined)
+                frontier.append(joined)
+    return sorted((tuple(elems(m)) for m in seen), key=lambda t: (len(t), t))
+
+
 NAIVE_ORACLES = {
     "gsdf": naive_gsdf,
     "sdf": naive_sdf,

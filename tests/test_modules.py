@@ -214,7 +214,10 @@ def test_axiom_check_catches_every_single_cell_change_z6_over_z12():
         def _tabulate(self):
             super()._tabulate()
             table, (i, j), value = self._mutation
-            getattr(self, table)[i][j] = value
+            rows = getattr(self, table)  # bytes rows: swap in a changed copy
+            row = bytearray(rows[i])
+            row[j] = value
+            rows[i] = bytes(row)
 
     caught = 0
     for table, rows in (("add_t", 6), ("act_t", 12)):
@@ -235,10 +238,12 @@ def test_axiom_check_reads_every_cell_of_the_ring_tables():
     wrong cell at any (r, s) must be seen, the last row and column too."""
     for op, message in ((0, "(r+s)x axiom fails"), (1, "(rs)x axiom fails")):
         for cell in range(12 * 12):
-            R = ZMod(12)  # a private ring: its cached tables are edited
-            tables = [bytearray(table) for table in R.op_tables()]
-            tables[op][cell] = (tables[op][cell] + 1) % 12  # differs mod 6 too
-            R._op_tables = tuple(map(bytes, tables))
+            R = ZMod(12)  # a private ring: its tables are edited
+            rows = (R.add_t, R.mul_t)[op]
+            r, s = divmod(cell, 12)
+            row = bytearray(rows[r])
+            row[s] = (row[s] + 1) % 12  # differs mod 6 too
+            rows[r] = bytes(row)
             with pytest.raises(InvalidConstructionError, match=re.escape(message)):
                 CyclicModule(R, 6)
 
