@@ -24,6 +24,7 @@ from .errors import AbsorbError
 from .lattice import all_submodules
 from .predicates import PROPERTY_CHECKS, check_property
 from .specdsl import (
+    SpecNode,
     elaborate_module,
     elaborate_sub,
     parse_module_spec,
@@ -116,9 +117,9 @@ def _load_module(args):
     if getattr(args, "module", None):
         return elaborate_module(parse_module_spec(args.module)), args.module
     if getattr(args, "ring", None):
-        parse_ring_spec(args.ring)  # so a syntax error points into the ring spec
-        spec = f"self({args.ring})"
-        return elaborate_module(parse_module_spec(spec)), spec
+        # wrapped after parsing, so error columns count in the ring spec as typed
+        node = SpecNode("mod-self", (parse_ring_spec(args.ring),), 1, 1)
+        return elaborate_module(node), f"self({args.ring})"
     raise AbsorbError("a --module or --ring spec is required")
 
 

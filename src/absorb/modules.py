@@ -723,15 +723,13 @@ def _require_ideal(I: Submodule) -> FiniteRing:
 
 
 def radical(I: Submodule) -> Submodule:
-    """sqrt(I) = {u : u^k in I for some k >= 1}; k is bounded by the power
-    orbit, never by a fixed cap."""
+    """sqrt(I) = {u : u^k in I for some k >= 1}.  The power orbit of u lists
+    u^1 .. u^m, and every power of u is one of them, so if a power of u is
+    in I then some u^k with k <= m is.  As I is an ideal, u^m = u^(m-k) u^k
+    is then in I too: u is in sqrt(I) exactly when u^m is in I."""
     R = _require_ideal(I)
     imask = I.mask
-    idxs = [
-        u
-        for u in range(R.order)
-        if any(imask >> p & 1 for p in R.power_orbit_raw(u)[2])
-    ]
+    idxs = [u for u in range(R.order) if imask >> R.power_orbit_raw(u)[2][-1] & 1]
     return Submodule(R.as_module, idxs, _trusted=True)
 
 

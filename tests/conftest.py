@@ -29,6 +29,20 @@ def is_closed_ideal(S) -> bool:
     return True
 
 
+def naive_radical(I) -> int:
+    """The mask of sqrt(I) = {u : u^k in I for some k >= 1}, k swept up to |R|."""
+    R = I.module.ring
+    out = 0
+    for u in range(R.order):
+        p = u
+        for _ in range(R.order):
+            if member(I, p):
+                out |= 1 << u
+                break
+            p = R.mul(p, u)
+    return out
+
+
 def naive_gsdf(N) -> bool:
     """(u^2 - v^2).x in N implies (u - v).x in N or (u + v)^k.x in N, k >= 1."""
     M = N.module

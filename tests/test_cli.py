@@ -91,6 +91,17 @@ def test_enumerate_z12_gsdf_column(capsys):
     doc = json.loads(out)
     rows = {row[0]: row[2] for row in doc["table"]["rows"]}
     assert rows == {"<0>": False, "<6>": True, "<4>": True, "<3>": True, "<2>": True}
+    assert doc["spec"] == "self(Zn(12))"
+
+
+@pytest.mark.parametrize("argv,column", [
+    (["check", "--ring", "prod(Zn(2),Zn(1))", "--sub", "zero", "--prop", "gsdf"], 12),
+    (["enumerate", "--ring", "quot(Zn(12),gen[5])"], 1),
+])
+def test_ring_errors_point_into_the_ring_spec_as_typed(capsys, argv, column):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.rstrip().endswith(f"(at line 1, column {column})")
 
 
 def test_enumerate_z7(capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absorb.errors import CrossStructureError, InvalidConstructionError, NotProperError
+from absorb.lattice import all_submodules
 from absorb.modules import (
     CyclicModule,
     FiniteModule,
@@ -34,6 +35,8 @@ from absorb.modules import (
     zero_submodule,
 )
 from absorb.rings import IdealizationRing, ProductRing, ZMod, make_zmod
+from absorb.suites import default_family
+from conftest import naive_radical
 
 
 def _exhaustive_module_axioms(M):
@@ -324,6 +327,13 @@ def test_radical():
     I = span(R.as_module, [4])
     assert radical(I).indices == (0, 2, 4, 6, 8, 10)
     assert radical(span(R.as_module, [0])).indices == (0, 6)
+
+
+def test_radical_matches_the_naive_power_sweep():
+    rings = [M.ring for M in default_family()] + [make_zmod(n) for n in range(2, 121)]
+    for R in {id(R): R for R in rings}.values():
+        for I in all_submodules(R.as_module).members:
+            assert radical(I).mask == naive_radical(I), (R, I.indices)
 
 
 def test_sum_and_intersection():
