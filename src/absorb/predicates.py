@@ -6,27 +6,49 @@ of the module elements x with t.x in N, so a whole x-row is tested with a
 few integer operations.  An ideal-level or set-wise check reads the same
 condition at x = 1: its rows are one bit wide, ``hit[t] = t in I``.
 
-Three scan shapes fix which witness is reported first:
+Two kernels decide the properties, and the scan order of each property
+fixes which witness is reported first.
 
-* **Square difference** (gsdf, sdf, sdf-absorbing and sdf-primary ideals,
-  the set-wise sdf-primary condition): one core, ``_sd_scan``.  The
-  hypothesis is symmetric in (u, v), so it walks u ascending and v up to u,
-  the u >= v half only, with x innermost.  When the target S is an additive
-  subgroup (an ideal, or a set-wise subset found to be one, such as every
-  I x N in an idealization), u^2 - v^2 lies in S exactly when
-  u^2 and v^2 lie in the same coset of S, so v walks only the bucket of
-  elements whose square shares u^2's coset; every pair it skips fails the
-  hypothesis, and the first failure is the same.  ``checked_count`` is the
-  position of that pair in the u >= v order, a closed form on either walk.
-* **Classical primary**: u and v in plain lexicographic order over the
-  whole square, x innermost.
-* **Colon** (prime, primary): u ascending, x innermost; the scalars of
-  (N :_R M), or of its radical, are skipped.
+* **Associate classes** (gsdf, classical primary, prime, primary).  N is
+  closed under multiplication by units, so for a unit w, hit[wt] = hit[t]:
+  a hit row depends only on the class [t] of t under t ~ wt
+  (``FiniteRing.unit_classes``), whose representative is its least member.
+  Classical primary fails at (u, v) on ``hit[uv] & ~hit[u] & ~reach(v)``,
+  reach(v) being the x that some power of v sends into N; that mask depends
+  only on ([u], [v]), as (w1 u)(w2 v) = w1 w2 uv and the powers of wv lie
+  in the classes of the powers of v.  gsdf fails at (u, v) on the same mask
+  taken at ([u - v], [u + v]), as (u - v)(u + v) = u^2 - v^2, so one table
+  of failing class pairs (``_class_failures``) serves both.  A class pair
+  (A, B) occurs as ([u - v], [u + v]) exactly when A and B meet a common
+  coset of 2R: s - d = 2v is solved by u = d + v, and -1 is a unit, so the
+  u >= v half reaches every such pair.  When 2 is a unit every class pair
+  occurs, and gsdf is then classical primary.
+  - gsdf holds when no occurring class pair fails; otherwise the pairs u >= v
+    are walked, u ascending and v up to u, to the first one in a failing
+    class pair, whose mask gives x.
+  - Classical primary's order is u, then v, over the whole square, so its
+    first failure is the least failing class pair, at its representatives.
+  - Prime and primary (u ascending; the scalars of (N :_R M), or of its
+    radical, are skipped) visit class representatives only, as the colon
+    ideal and its radical are unions of classes.
+* **Square difference** (sdf, sdf-absorbing and sdf-primary ideals, the
+  set-wise sdf-primary condition): one core, ``_sd_scan``.  sdf puts u and
+  v, not u - v and u + v, outside Ann(x), and a bare subset is not closed
+  under units, so these keep the element-pair scan.  The hypothesis is
+  symmetric in (u, v), so it walks u ascending and v up to u, the u >= v
+  half only, with x innermost.  When the target S is an additive subgroup
+  (an ideal, or a set-wise subset found to be one, such as every I x N in
+  an idealization), u^2 - v^2 lies in S exactly when u^2 and v^2 lie in the
+  same coset of S, so v walks only the bucket of elements whose square
+  shares u^2's coset; every pair it skips fails the hypothesis, and the
+  first failure is the same.
+
+``checked_count`` is the witness's position in its property's scan order,
+a closed form, or the whole order when the property holds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .encodings import coset_ids
 from .errors import NotProperError
@@ -35,7 +57,6 @@ from .modules import (
     Submodule,
     _require_ideal,
     colon_ideal_global,
-    indices_of,
     mask_of,
     radical,
 )
@@ -60,12 +81,13 @@ class Witness:
 class PropertyReport:
     """A verdict with its first-failure witness.
 
-    ``checked_count`` is the number of (u, v) pairs the scan visited times
-    |M| for the five module properties (scalars u visited times |M| for
-    prime and primary), not the number of x-values tested.  For the
-    ideal-level and set-wise checks it is the position of the failing pair
-    in the u >= v order (all pairs of that order when none fails), not the
-    number of pairs a coset-bucketed scan tested."""
+    ``checked_count`` is the witness's position in its property's scan
+    order, in closed form, or the size of the whole order when the property
+    holds; it is not the number of pairs tested.  For the five module
+    properties that position is counted in (u, v) pairs times |M| (scalars u
+    times |M| for prime and primary): the u >= v half for gsdf and sdf, the
+    whole square for classical primary.  For the ideal-level and set-wise
+    checks it is counted in pairs of the u >= v order."""
 
     property: str
     holds: bool
@@ -201,31 +223,77 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     return None, t * (t + 1) // 2 * width
 
 
-def _colon_scan(N: Submodule, hit, skip: int):
-    """u.x in N implies x in N, for every scalar u outside the ``skip``
-    mask.  Returns the first failure (u, None, x, None), or None, and the
-    scalars visited times |M|."""
+def _class_failures(R, hit) -> dict[tuple[int, int], int]:
+    """The classical-primary failures between associate classes: (A, B) ->
+    ``hit[ab] & ~hit[a] & ~reach(b)`` on the representatives a of A and b of
+    B, for every class pair where that mask is not empty.  It is the mask of
+    every (u, v) in A x B, as N is closed under units: hit[wt] = hit[t],
+    (w1 a)(w2 b) = w1 w2 ab, and the powers of wb lie in the classes of the
+    powers of b.  Taken at (A, B) = ([u - v], [u + v]) it is gsdf's failure
+    mask of (u, v), as (u - v)(u + v) = u^2 - v^2."""
+    reps, mul = R.unit_classes()[1], R.mul
+    full = hit[R.zero]  # 0.x = 0 lies in N
+    unreached = [(B, b, k) for B, b in enumerate(reps)
+                 if (k := full & ~_power_reach_mask(R, hit, b))]
+    failures = {}
+    for A, a in enumerate(reps):
+        outside = full & ~hit[a]
+        if outside:
+            failures.update(((A, B), bad) for B, b, k in unreached
+                            if (bad := hit[mul(a, b)] & outside & k))
+    return failures
+
+
+def _gsdf_walk(R, ids, failures, width: int):
+    """gsdf's first failure in the u >= v order of the square-difference
+    scan: the first pair whose ([u - v], [u + v]) fails, with its position
+    times ``width``.  Called only when some failing class pair occurs, so it
+    always returns."""
+    add, sub = R.add, R.sub
+    for u in range(R.order):
+        for v in range(u + 1):
+            bad = failures.get((ids[sub(u, v)], ids[s := add(u, v)]))
+            if bad:
+                return (u, v, _first_bit(bad), _orbit_len(R, s)), (u * (u + 1) // 2 + v + 1) * width
+    raise AssertionError("an occurring failing class pair comes from some pair")
+
+
+def _colon_scan(N: Submodule, hit, of_radical: bool):
+    """u.x in N implies x in N, for every scalar u outside (N :_R M), or
+    with ``of_radical`` outside its radical.  u is in (N :_R M) when its hit
+    row is full, and in the radical when the last power u^m of its power
+    orbit is (the argument of ``modules.radical``).  Both ideals are unions
+    of classes, so only the class representatives are visited, and the
+    least failing one is the first failure in u order.  Returns (u, None,
+    x, None), or None, and (u + 1) |M| (|R| |M| when none fails)."""
     M = N.module
-    outside = ~N.mask
-    for u in range(M.ring.order):
+    R = M.ring
+    full, outside = (1 << M.order) - 1, ~N.mask
+    for u in R.unit_classes()[1]:
         bad = hit[u] & outside
-        if bad and not skip >> u & 1:
+        if bad and hit[R.power_orbit_raw(u)[2][-1] if of_radical else u] != full:
             return (u, None, _first_bit(bad), None), (u + 1) * M.order
-    return None, M.ring.order * M.order
-
-
-def _colon_mask(M: FiniteModule, hit) -> int:
-    """(N :_R M) read off the hit rows: the scalars whose row is full."""
-    full = (1 << M.order) - 1
-    return mask_of(t for t, row in enumerate(hit) if row == full)
+    return None, R.order * M.order
 
 
 def is_gsdf_absorbing(N: Submodule) -> PropertyReport:
-    """(u^2 - v^2).x in N implies (u - v).x in N or (u + v)^k.x in N."""
+    """(u^2 - v^2).x in N implies (u - v).x in N or (u + v)^k.x in N.
+
+    N holds when no failing class pair occurs as ([u - v], [u + v]), and
+    ``checked_count`` is then the whole u >= v half, T(T + 1)/2 |M|;
+    otherwise the pairs are walked up to the first one in a failing class
+    pair."""
     N.require_proper()
     M = N.module
-    found, checked = _sd_scan(M.ring, M.scalar_hit_masks(N.mask), M.order)
-    return _report("gsdf", found, checked, M.ring, M)
+    R = M.ring
+    hit = M.scalar_hit_masks(N.mask)
+    ids, _, meets = R.unit_classes()
+    failures = _class_failures(R, hit)
+    if not any(meets[A] >> B & 1 for A, B in failures):
+        n = R.order
+        return _report("gsdf", None, n * (n + 1) // 2 * M.order, R)
+    found, checked = _gsdf_walk(R, ids, failures, M.order)
+    return _report("gsdf", found, checked, R, M)
 
 
 def is_sdf_absorbing(N: Submodule) -> PropertyReport:
@@ -240,43 +308,40 @@ def is_sdf_absorbing(N: Submodule) -> PropertyReport:
 
 
 def is_classical_primary(N: Submodule) -> PropertyReport:
-    """u v x in N implies u x in N or v^k x in N."""
+    """u v x in N implies u x in N or v^k x in N.
+
+    The scan order is u, then v, over the whole square.  The first failure
+    is the least failing class pair (A, B), at their representatives, as
+    each class's representative is its least member, and ``checked_count``
+    is its position, (u |R| + v + 1) |M|."""
     N.require_proper()
     M = N.module
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
+    failures = _class_failures(R, hit)
     n = R.order
-    mul_row = R.mul_t.__getitem__ if R.mul_t is not None else partial(_OpRow, R.mul)
-    reach_cache: dict[int, int] = {}
-    for u in range(n):
-        m, outside = mul_row(u), ~hit[u]
-        for v, bad in [(v, b) for v in range(n) if (b := hit[m[v]] & outside)]:
-            if v not in reach_cache:
-                reach_cache[v] = _power_reach_mask(R, hit, v)
-            bad &= ~reach_cache[v]
-            if bad:
-                found = (u, v, _first_bit(bad), _orbit_len(R, v))
-                return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
-    return _report("cprimary", None, n * n * M.order, R)
+    if not failures:
+        return _report("cprimary", None, n * n * M.order, R)
+    A, B = min(failures)
+    reps = R.unit_classes()[1]
+    u, v = reps[A], reps[B]
+    found = (u, v, _first_bit(failures[A, B]), _orbit_len(R, v))
+    return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
 
 
 def is_primary_submodule(N: Submodule) -> PropertyReport:
     """u x in N implies x in N or u in sqrt(N :_R M)."""
     N.require_proper()
     M = N.module
-    R = M.ring
-    hit = M.scalar_hit_masks(N.mask)
-    colon = Submodule(R.as_module, indices_of(_colon_mask(M, hit)), _trusted=True)
-    found, checked = _colon_scan(N, hit, radical(colon).mask)
-    return _report("primary", found, checked, R, M)
+    found, checked = _colon_scan(N, M.scalar_hit_masks(N.mask), of_radical=True)
+    return _report("primary", found, checked, M.ring, M)
 
 
 def is_prime_submodule(N: Submodule) -> PropertyReport:
     """u x in N implies x in N or u M contained in N."""
     N.require_proper()
     M = N.module
-    hit = M.scalar_hit_masks(N.mask)
-    found, checked = _colon_scan(N, hit, _colon_mask(M, hit))
+    found, checked = _colon_scan(N, M.scalar_hit_masks(N.mask), of_radical=False)
     return _report("prime", found, checked, M.ring, M)
 
 

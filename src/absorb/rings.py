@@ -10,8 +10,9 @@ from __future__ import annotations
 import functools
 import random
 from itertools import repeat
+from math import gcd
 
-from .encodings import AmalgamationCodec, CarrierCodec, CosetCodec, PairCodec
+from .encodings import AmalgamationCodec, CarrierCodec, CosetCodec, PairCodec, coset_ids
 from .errors import (
     CrossStructureError,
     InvalidConstructionError,
@@ -88,7 +89,7 @@ class FiniteRing:
         if self.order < 2 or self.zero == self.one:
             raise InvalidOrderError(f"{self.name}: need 1 != 0")
         self._orbit_cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        self._unit_cache: frozenset[int] | None = None
+        self._unit_classes: tuple[list[int], tuple[int, ...], tuple[int, ...]] | None = None
         self._as_module = None
         # direct modular arithmetic needs no axiom check (the test suite
         # verifies it); a derived ring is checked as its own as_module
@@ -166,18 +167,56 @@ class FiniteRing:
                 return e
         raise AssertionError("finite power orbit cycle must contain an idempotent")
 
+    def unit_classes(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+        """The associate classes of R, t ~ wt for a unit w, as ``(ids, reps,
+        meets)``, cached on the ring: ``ids[t]`` is the class of t, classes
+        numbered by their least member; ``reps`` those least members, in
+        ascending order; and ``meets[A]`` the mask of the classes B such that
+        some coset of 2R meets both A and B.  That is exactly when the class
+        pair (A, B) occurs as ([u - v], [u + v]) for some u >= v: s - d = 2v
+        is solved by u = d + v, and -1 is a unit."""
+        if self._unit_classes is None:
+            ids, reps = self._class_ids(), []
+            for t, c in enumerate(ids):
+                if c == len(reps):
+                    reps.append(t)
+            coset = coset_ids(self, {self.add(r, r) for r in range(self.order)})
+            in_coset = [0] * (max(coset) + 1)
+            for t, c in enumerate(ids):
+                in_coset[coset[t]] |= 1 << c
+            meets = [0] * len(reps)
+            for t, c in enumerate(ids):
+                meets[c] |= in_coset[coset[t]]
+            self._unit_classes = ids, tuple(reps), tuple(meets)
+        return self._unit_classes
+
+    def _class_ids(self) -> list[int]:
+        """The class id of each element: each element not yet classed opens
+        the next class, its products with every unit.  A unit is an element
+        w with 1 in its row of the mul table, or without tables, 1 among
+        its powers."""
+        n, mul = self.order, self.mul
+        if self.mul_t is not None:
+            units = [w for w in range(n) if self.one in self.mul_t[w]]
+        else:
+            units = [w for w in range(n) if self.one in self.power_orbit_raw(w)[2]]
+        ids = [-1] * n
+        count = 0
+        for t in range(n):
+            if ids[t] < 0:
+                for w in units:
+                    ids[mul(w, t)] = count
+                count += 1
+        return ids
+
     def units_raw(self) -> frozenset[int]:
-        if self._unit_cache is None:
-            one = self.one
-            found = set()
-            for u in range(self.order):
-                if any(self.mul(u, w) == one for w in range(self.order)):
-                    found.add(u)
-            self._unit_cache = frozenset(found)
-        return self._unit_cache
+        """The units: the class of 1."""
+        ids = self.unit_classes()[0]
+        return frozenset(t for t, c in enumerate(ids) if c == ids[self.one])
 
     def is_unit(self, i: int) -> bool:
-        return i in self.units_raw()
+        ids = self.unit_classes()[0]
+        return ids[i] == ids[self.one]
 
     @property
     def as_module(self):
@@ -301,6 +340,15 @@ class ZMod(FiniteRing):
         self.add_t = [twice[i:i + n] for i in range(n)]
         self.mul_t = [bytes(n)] + [(cyc * i)[::i] for i in range(1, n)]
         self.neg_t = bytes(-i % n for i in range(n))
+
+    def _class_ids(self) -> list[int]:
+        """t and s are associates in Z_n exactly when gcd(t, n) = gcd(s, n),
+        and the least member of the class of divisor d < n is d itself (0
+        for d = n): no table and no product is needed."""
+        n = self.n
+        g = [gcd(t, n) for t in range(n)]
+        rank = {d: k for k, d in enumerate(sorted(set(g), key=lambda d: d % n))}
+        return [rank[d] for d in g]
 
     def describe(self, i):
         return str(i)
@@ -541,7 +589,7 @@ def reduction_hom(src: ZMod, dst: ZMod) -> RingHom:
 @functools.lru_cache(maxsize=None)
 def make_zmod(n: int) -> ZMod:
     """Shared Z_n instances (rings are immutable, so reuse keeps caches of
-    orbits, units, and lattices warm)."""
+    orbits, unit classes, and lattices warm)."""
     return ZMod(n)
 
 

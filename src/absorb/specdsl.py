@@ -204,11 +204,19 @@ def parse_sub_spec(text: str) -> SpecNode:
 
 
 def parse_spec(text: str) -> SpecNode:
-    """Parse a spec that may be either a ring or a module."""
+    """Parse a spec that may be either a ring or a module.  When it is
+    neither, the error is whichever of the two parsers got further into the
+    spec, the ring parser's on a tie."""
     try:
         return parse_module_spec(text)
-    except SpecSyntaxError:
-        return parse_ring_spec(text)
+    except SpecSyntaxError as module_error:
+        try:
+            return parse_ring_spec(text)
+        except SpecSyntaxError as ring_error:
+            where = (module_error.line, module_error.column)
+            if where > (ring_error.line, ring_error.column):
+                raise module_error from None
+            raise
 
 
 # -- rendering (canonical round-trippable form) ----------------------------

@@ -1,10 +1,35 @@
 """Shared helpers: independent naive oracles used to cross-check the
 optimized predicate scanners.  These are written as direct triple loops over
 the definitions, with the power exponent k swept up to |R|, and share no code
-with the scanners under test."""
+with the scanners under test.
+
+The walk oracles (``WALK_ORACLES``) are the element-pair scans the class
+kernel of ``absorb.predicates`` replaced: whole reports, witness and
+``checked_count`` included, from the same hit rows, to compare with the
+class kernel's field by field."""
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
+
+from absorb.modules import Submodule, indices_of, mask_of, radical
+from absorb.predicates import (
+    _OpRow,
+    _first_bit,
+    _orbit_len,
+    _power_reach_mask,
+    _report,
+    _sd_scan,
+)
+
+# the five wide modules of the benchmark's sweep
+SWEEP_WIDE = (
+    "prod(prod(cyc(Zn(6),6),cyc(Zn(6),6)),cyc(Zn(6),6))",
+    "prod(prod(cyc(Zn(3),3),cyc(Zn(3),3)),prod(cyc(Zn(3),3),cyc(Zn(3),3)))",
+    "prod(prod(prod(cyc(Zn(2),2),cyc(Zn(2),2)),prod(cyc(Zn(2),2),cyc(Zn(2),2))),cyc(Zn(2),2))",
+    "prod(prod(cyc(Zn(4),4),cyc(Zn(4),4)),cyc(Zn(4),4))",
+    "self(prod(Zn(12),Zn(12)))",
+)
 
 
 def member(N, idx: int) -> bool:
@@ -270,4 +295,70 @@ NAIVE_ORACLES = {
     "primary": naive_primary,
     "sdfideal": naive_sdf_ideal,
     "sdfprimary": naive_sdf_primary_ideal,
+}
+
+
+def walk_gsdf(N):
+    """gsdf by the square-difference scan of every pair u >= v."""
+    M = N.module
+    found, checked = _sd_scan(M.ring, M.scalar_hit_masks(N.mask), M.order)
+    return _report("gsdf", found, checked, M.ring, M)
+
+
+def walk_cprimary(N):
+    """Classical primary by u and v in plain lexicographic order over the
+    whole square, x innermost."""
+    M = N.module
+    R = M.ring
+    hit = M.scalar_hit_masks(N.mask)
+    n = R.order
+    mul_row = R.mul_t.__getitem__ if R.mul_t is not None else partial(_OpRow, R.mul)
+    reach_cache: dict[int, int] = {}
+    for u in range(n):
+        m, outside = mul_row(u), ~hit[u]
+        for v, bad in [(v, b) for v in range(n) if (b := hit[m[v]] & outside)]:
+            if v not in reach_cache:
+                reach_cache[v] = _power_reach_mask(R, hit, v)
+            bad &= ~reach_cache[v]
+            if bad:
+                found = (u, v, _first_bit(bad), _orbit_len(R, v))
+                return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
+    return _report("cprimary", None, n * n * M.order, R)
+
+
+def _colon_mask(M, hit) -> int:
+    """(N :_R M) read off the hit rows: the scalars whose row is full."""
+    full = (1 << M.order) - 1
+    return mask_of(t for t, row in enumerate(hit) if row == full)
+
+
+def _walk_colon(prop, N, hit, skip):
+    """u ascending over every scalar, x innermost; the scalars of ``skip``
+    are passed over."""
+    M = N.module
+    outside = ~N.mask
+    for u in range(M.ring.order):
+        bad = hit[u] & outside
+        if bad and not skip >> u & 1:
+            return _report(prop, (u, None, _first_bit(bad), None), (u + 1) * M.order, M.ring, M)
+    return _report(prop, None, M.ring.order * M.order, M.ring)
+
+
+def walk_prime(N):
+    hit = N.module.scalar_hit_masks(N.mask)
+    return _walk_colon("prime", N, hit, _colon_mask(N.module, hit))
+
+
+def walk_primary(N):
+    M = N.module
+    hit = M.scalar_hit_masks(N.mask)
+    colon = Submodule(M.ring.as_module, indices_of(_colon_mask(M, hit)), _trusted=True)
+    return _walk_colon("primary", N, hit, radical(colon).mask)
+
+
+WALK_ORACLES = {
+    "gsdf": walk_gsdf,
+    "cprimary": walk_cprimary,
+    "prime": walk_prime,
+    "primary": walk_primary,
 }

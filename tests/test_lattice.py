@@ -3,6 +3,7 @@ multiplicative-set enumeration, decompositions, counterexample search."""
 import math
 
 import pytest
+from conftest import SWEEP_WIDE
 
 from absorb.errors import SizeBoundError
 from absorb.lattice import (
@@ -79,16 +80,7 @@ def _pairwise_join_masks(M):
     return seen
 
 
-WIDE_MODULES = (
-    "prod(prod(cyc(Zn(6),6),cyc(Zn(6),6)),cyc(Zn(6),6))",
-    "prod(prod(cyc(Zn(3),3),cyc(Zn(3),3)),prod(cyc(Zn(3),3),cyc(Zn(3),3)))",
-    "prod(prod(prod(cyc(Zn(2),2),cyc(Zn(2),2)),prod(cyc(Zn(2),2),cyc(Zn(2),2))),cyc(Zn(2),2))",
-    "prod(prod(cyc(Zn(4),4),cyc(Zn(4),4)),cyc(Zn(4),4))",
-    "self(prod(Zn(12),Zn(12)))",
-)
-
-
-@pytest.mark.parametrize("spec", WIDE_MODULES)
+@pytest.mark.parametrize("spec", SWEEP_WIDE)
 def test_all_submodules_matches_pairwise_joins_on_wide_modules(spec):
     M = elaborate_module(parse_module_spec(spec))
     assert {N.mask for N in all_submodules(M).members} == _pairwise_join_masks(M)

@@ -247,27 +247,27 @@ ENTRY_POINTS = (parse_module_spec, parse_ring_spec, parse_sub_spec, parse_spec)
 # malformed spec -> "line:column: message" from each of ENTRY_POINTS
 PINNED_ERRORS = [
     ('', ('1:1: unexpected end of spec', '1:1: unexpected end of spec', '1:1: unexpected end of spec', '1:1: unexpected end of spec')),
-    ('self(', ('1:5: unexpected end of spec', "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
-    ('self(Zn(12)', ('1:11: unexpected end of spec', "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
-    ('cyc(Zn(12),', ('1:11: unexpected end of spec', "1:1: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'cyc'", "1:1: unknown ring constructor 'cyc'")),
-    ('prod(cyc(Zn(12),3),', ('1:19: unexpected end of spec', "1:6: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'prod'", "1:6: unknown ring constructor 'cyc'")),
-    ('prod(\n  cyc(Zn(12),3),', ('2:16: unexpected end of spec', "2:3: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'prod'", "2:3: unknown ring constructor 'cyc'")),
+    ('self(', ('1:5: unexpected end of spec', "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", '1:5: unexpected end of spec')),
+    ('self(Zn(12)', ('1:11: unexpected end of spec', "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", '1:11: unexpected end of spec')),
+    ('cyc(Zn(12),', ('1:11: unexpected end of spec', "1:1: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'cyc'", '1:11: unexpected end of spec')),
+    ('prod(cyc(Zn(12),3),', ('1:19: unexpected end of spec', "1:6: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'prod'", '1:19: unexpected end of spec')),
+    ('prod(\n  cyc(Zn(12),3),', ('2:16: unexpected end of spec', "2:3: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'prod'", '2:16: unexpected end of spec')),
     ('quot(Zn(12),', ("1:1: unknown module constructor 'quot'", '1:12: unexpected end of spec', "1:1: unknown submodule form 'quot'", '1:12: unexpected end of spec')),
     ('gen[', ("1:1: unknown module constructor 'gen'", "1:1: unknown ring constructor 'gen'", '1:4: unexpected end of spec', "1:1: unknown ring constructor 'gen'")),
     ('gen[(1,', ("1:1: unknown module constructor 'gen'", "1:1: unknown ring constructor 'gen'", '1:7: unexpected end of spec', "1:1: unknown ring constructor 'gen'")),
     ('gen[1,', ("1:1: unknown module constructor 'gen'", "1:1: unknown ring constructor 'gen'", '1:6: unexpected end of spec', "1:1: unknown ring constructor 'gen'")),
     ('table[0:', ("1:1: unknown module constructor 'table'", "1:1: unknown ring constructor 'table'", "1:1: unknown submodule form 'table'", "1:1: unknown ring constructor 'table'")),
     ('table[0:1,', ("1:1: unknown module constructor 'table'", "1:1: unknown ring constructor 'table'", "1:1: unknown submodule form 'table'", "1:1: unknown ring constructor 'table'")),
-    ('amalgm(self(Zn(6)),self(Zn(6)),table[0:0,', ('1:41: unexpected end of spec', "1:1: unknown ring constructor 'amalgm'", "1:1: unknown submodule form 'amalgm'", "1:1: unknown ring constructor 'amalgm'")),
+    ('amalgm(self(Zn(6)),self(Zn(6)),table[0:0,', ('1:41: unexpected end of spec', "1:1: unknown ring constructor 'amalgm'", "1:1: unknown submodule form 'amalgm'", '1:41: unexpected end of spec')),
     ('loc(Zn(6),mset[', ("1:1: unknown module constructor 'loc'", '1:15: unexpected end of spec', "1:1: unknown submodule form 'loc'", '1:15: unexpected end of spec')),
-    ('self(Zn(12)))', ("1:13: trailing input ')'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
+    ('self(Zn(12)))', ("1:13: trailing input ')'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:13: trailing input ')'")),
     (')', ("1:1: unknown module constructor ')'", "1:1: expected name, found ')'", "1:1: expected name, found ')'", "1:1: expected name, found ')'")),
     ('prod)', ("1:5: expected (, found ')'", "1:5: expected (, found ')'", "1:1: unknown submodule form 'prod'", "1:5: expected (, found ')'")),
     ('gen[1)]', ("1:1: unknown module constructor 'gen'", "1:1: unknown ring constructor 'gen'", "1:6: expected ], found ')'", "1:1: unknown ring constructor 'gen'")),
     ('Zn(12))', ("1:1: unknown module constructor 'Zn'", "1:7: trailing input ')'", "1:1: unknown submodule form 'Zn'", "1:7: trailing input ')'")),
-    ('self(Zn(12),)', ("1:12: expected ), found ','", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
+    ('self(Zn(12),)', ("1:12: expected ), found ','", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:12: expected ), found ','")),
     ('frob(Zn(12))', ("1:1: unknown module constructor 'frob'", "1:1: unknown ring constructor 'frob'", "1:1: unknown submodule form 'frob'", "1:1: unknown ring constructor 'frob'")),
-    ('self(Zp(12))', ("1:6: unknown ring constructor 'Zp'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
+    ('self(Zp(12))', ("1:6: unknown ring constructor 'Zp'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:6: unknown ring constructor 'Zp'")),
     ('quot(Zn(4),span[1])', ("1:1: unknown module constructor 'quot'", "1:12: unknown submodule form 'span'", "1:1: unknown submodule form 'quot'", "1:12: unknown submodule form 'span'")),
     ('amalg(Zn(4),Zn(4),ident,zero)', ("1:1: unknown module constructor 'amalg'", "1:19: unknown hom form 'ident'", "1:1: unknown submodule form 'amalg'", "1:19: unknown hom form 'ident'")),
     ('loc(Zn(6),set[2])', ("1:1: unknown module constructor 'loc'", "1:11: expected 'mset', found 'set'", "1:1: unknown submodule form 'loc'", "1:11: expected 'mset', found 'set'")),
@@ -288,10 +288,18 @@ PINNED_ERRORS = [
     ('table[(0:1)]', ("1:1: unknown module constructor 'table'", "1:1: unknown ring constructor 'table'", "1:1: unknown submodule form 'table'", "1:1: unknown ring constructor 'table'")),
     ('table[0:1 2:3]', ("1:1: unknown module constructor 'table'", "1:1: unknown ring constructor 'table'", "1:1: unknown submodule form 'table'", "1:1: unknown ring constructor 'table'")),
     ('Zn(x)', ("1:1: unknown module constructor 'Zn'", "1:4: expected int, found 'x'", "1:1: unknown submodule form 'Zn'", "1:4: expected int, found 'x'")),
-    ('cyc(Zn(12),a)', ("1:12: expected int, found 'a'", "1:1: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'cyc'", "1:1: unknown ring constructor 'cyc'")),
-    ('self Zn(12)', ("1:6: expected (, found 'Zn'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
-    ('self(Zn(12)) extra', ("1:14: trailing input 'extra'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:1: unknown ring constructor 'self'")),
+    ('cyc(Zn(12),a)', ("1:12: expected int, found 'a'", "1:1: unknown ring constructor 'cyc'", "1:1: unknown submodule form 'cyc'", "1:12: expected int, found 'a'")),
+    ('self Zn(12)', ("1:6: expected (, found 'Zn'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:6: expected (, found 'Zn'")),
+    ('self(Zn(12)) extra', ("1:14: trailing input 'extra'", "1:1: unknown ring constructor 'self'", "1:1: unknown submodule form 'self'", "1:14: trailing input 'extra'")),
 ]
+
+
+def test_parse_spec_reports_the_error_further_into_the_spec():
+    def where(message):
+        return tuple(map(int, message.split(":")[:2]))
+
+    for text, (module, ring, _, either) in PINNED_ERRORS:
+        assert either == (module if where(module) > where(ring) else ring), text
 
 
 @pytest.mark.parametrize("text,errors", PINNED_ERRORS)

@@ -2,7 +2,7 @@
 submodule lattice against per-element oracles, the tables themselves, and
 the bound on hit-row cells."""
 import pytest
-from conftest import naive_all_submodules, naive_hit_rows
+from conftest import SWEEP_WIDE, naive_all_submodules, naive_hit_rows
 
 from absorb import lattice
 from absorb.cli import main
@@ -20,16 +20,8 @@ from absorb.rings import ZMod, make_zmod
 from absorb.specdsl import elaborate_module, parse_module_spec
 from absorb.suites import default_family
 
-# the five wide modules of the benchmark's sweep
-WIDE = (
-    "prod(prod(cyc(Zn(6),6),cyc(Zn(6),6)),cyc(Zn(6),6))",
-    "prod(prod(cyc(Zn(3),3),cyc(Zn(3),3)),prod(cyc(Zn(3),3),cyc(Zn(3),3)))",
-    "prod(prod(prod(cyc(Zn(2),2),cyc(Zn(2),2)),prod(cyc(Zn(2),2),cyc(Zn(2),2))),cyc(Zn(2),2))",
-    "prod(prod(cyc(Zn(4),4),cyc(Zn(4),4)),cyc(Zn(4),4))",
-    "self(prod(Zn(12),Zn(12)))",
-)
 # Z_300 has no tables: it covers the per-element paths
-SPECS = WIDE + tuple(f"self(Zn({n}))" for n in range(2, 61)) + ("self(Zn(300))",)
+SPECS = SWEEP_WIDE + tuple(f"self(Zn({n}))" for n in range(2, 61)) + ("self(Zn(300))",)
 
 
 def _modules():
