@@ -224,13 +224,10 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
 
 
 def _class_failures(R, hit) -> dict[tuple[int, int], int]:
-    """The classical-primary failures between associate classes: (A, B) ->
-    ``hit[ab] & ~hit[a] & ~reach(b)`` on the representatives a of A and b of
-    B, for every class pair where that mask is not empty.  It is the mask of
-    every (u, v) in A x B, as N is closed under units: hit[wt] = hit[t],
-    (w1 a)(w2 b) = w1 w2 ab, and the powers of wb lie in the classes of the
-    powers of b.  Taken at (A, B) = ([u - v], [u + v]) it is gsdf's failure
-    mask of (u, v), as (u - v)(u + v) = u^2 - v^2."""
+    """The failing class pairs: (A, B) -> ``hit[ab] & ~hit[a] & ~reach(b)``
+    at the representatives a of A and b of B, wherever it is not empty.  It
+    is classical primary's failure mask of every (u, v) in A x B, and
+    gsdf's of every (u, v) with ([u - v], [u + v]) = (A, B)."""
     reps, mul = R.unit_classes()[1], R.mul
     full = hit[R.zero]  # 0.x = 0 lies in N
     unreached = [(B, b, k) for B, b in enumerate(reps)
