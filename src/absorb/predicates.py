@@ -18,16 +18,19 @@ fixes which witness is reported first.
   only on ([u], [v]), as (w1 u)(w2 v) = w1 w2 uv and the powers of wv lie
   in the classes of the powers of v.  gsdf fails at (u, v) on the same mask
   taken at ([u - v], [u + v]), as (u - v)(u + v) = u^2 - v^2, so one table
-  of failing class pairs (``_class_failures``) serves both.  A class pair
+  of failing class pairs (``_failure_rows``) serves both.  A class pair
   (A, B) occurs as ([u - v], [u + v]) exactly when A and B meet a common
   coset of 2R: s - d = 2v is solved by u = d + v, and -1 is a unit, so the
   u >= v half reaches every such pair.  When 2 is a unit every class pair
   occurs, and gsdf is then classical primary.
-  - gsdf holds when no occurring class pair fails; otherwise the pairs u >= v
-    are walked, u ascending and v up to u, to the first one in a failing
-    class pair, whose mask gives x.
+  - gsdf tests only the occurring class pairs (B among A's ``meets``), and
+    holds when none fails; otherwise the pairs u >= v are walked, u
+    ascending and v up to u, to the first one in a failing class pair,
+    whose mask gives x.
   - Classical primary's order is u, then v, over the whole square, so its
-    first failure is the least failing class pair, at its representatives.
+    first failure is the least failing class pair, at its representatives;
+    the class rows are built in ascending order and stop at the first that
+    fails.
   - Prime and primary (u ascending; the scalars of (N :_R M), or of its
     radical, are skipped) visit class representatives only, as the colon
     ideal and its radical are unions of classes.
@@ -134,6 +137,14 @@ def _first_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _is_additive_subgroup(S) -> bool:
     """A finite subset of a ring is an additive subgroup when it contains 0
     and is closed under +: at most |S|^2 additions, stopping at the first
@@ -223,22 +234,31 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     return None, t * (t + 1) // 2 * width
 
 
-def _class_failures(R, hit) -> dict[tuple[int, int], int]:
-    """The failing class pairs: (A, B) -> ``hit[ab] & ~hit[a] & ~reach(b)``
-    at the representatives a of A and b of B, wherever it is not empty.  It
-    is classical primary's failure mask of every (u, v) in A x B, and
-    gsdf's of every (u, v) with ([u - v], [u + v]) = (A, B)."""
+def _failure_rows(R, hit, cols):
+    """The failing class pairs, one class A at a time in ascending order:
+    yields (A, row) for each A with a non-empty row, row mapping each class
+    B of ``cols(A)``, ascending, to ``hit[ab] & ~hit[a] &
+    ~reach(b)`` at the representatives a of A and b of B where that is not
+    empty.  It is classical primary's failure mask of every (u, v) in A x B,
+    and gsdf's of every (u, v) with ([u - v], [u + v]) = (A, B).  Each
+    row is built when it is asked for, and reach(b) when a row first needs
+    it, so a caller that stops at its first row pays only up to there."""
     reps, mul = R.unit_classes()[1], R.mul
     full = hit[R.zero]  # 0.x = 0 lies in N
-    unreached = [(B, b, k) for B, b in enumerate(reps)
-                 if (k := full & ~_power_reach_mask(R, hit, b))]
-    failures = {}
+    unreached: dict[int, int] = {}  # B -> full & ~reach(b)
+
+    def keep(B, b, bad):
+        if B not in unreached:
+            unreached[B] = full & ~_power_reach_mask(R, hit, b)
+        return bad & unreached[B]
+
     for A, a in enumerate(reps):
         outside = full & ~hit[a]
         if outside:
-            failures.update(((A, B), bad) for B, b, k in unreached
-                            if (bad := hit[mul(a, b)] & outside & k))
-    return failures
+            row = {B: bad for B in cols(A) if (bad := hit[mul(a, b := reps[B])] & outside)
+                   and (bad := keep(B, b, bad))}
+            if row:
+                yield A, row
 
 
 def _gsdf_walk(R, ids, failures, width: int):
@@ -285,8 +305,9 @@ def is_gsdf_absorbing(N: Submodule) -> PropertyReport:
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
     ids, _, meets = R.unit_classes()
-    failures = _class_failures(R, hit)
-    if not any(meets[A] >> B & 1 for A, B in failures):
+    failures = {(A, B): bad for A, row in _failure_rows(R, hit, lambda A: _bits(meets[A]))
+                for B, bad in row.items()}
+    if not failures:
         n = R.order
         return _report("gsdf", None, n * (n + 1) // 2 * M.order, R)
     found, checked = _gsdf_walk(R, ids, failures, M.order)
@@ -310,20 +331,20 @@ def is_classical_primary(N: Submodule) -> PropertyReport:
     The scan order is u, then v, over the whole square.  The first failure
     is the least failing class pair (A, B), at their representatives, as
     each class's representative is its least member, and ``checked_count``
-    is its position, (u |R| + v + 1) |M|."""
+    is its position, (u |R| + v + 1) |M|.  The class rows are built in
+    ascending order up to the first one that fails."""
     N.require_proper()
     M = N.module
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
-    failures = _class_failures(R, hit)
-    n = R.order
-    if not failures:
-        return _report("cprimary", None, n * n * M.order, R)
-    A, B = min(failures)
     reps = R.unit_classes()[1]
-    u, v = reps[A], reps[B]
-    found = (u, v, _first_bit(failures[A, B]), _orbit_len(R, v))
-    return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
+    n, every = R.order, range(len(reps))
+    for A, row in _failure_rows(R, hit, lambda A: every):
+        B = next(iter(row))
+        u, v = reps[A], reps[B]
+        found = (u, v, _first_bit(row[B]), _orbit_len(R, v))
+        return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
+    return _report("cprimary", None, n * n * M.order, R)
 
 
 def is_primary_submodule(N: Submodule) -> PropertyReport:

@@ -193,13 +193,9 @@ class FiniteRing:
     def _class_ids(self) -> list[int]:
         """The class id of each element: each element not yet classed opens
         the next class, its products with every unit.  A unit is an element
-        w with 1 in its row of the mul table, or without tables, 1 among
-        its powers."""
+        w with 1 among its powers."""
         n, mul = self.order, self.mul
-        if self.mul_t is not None:
-            units = [w for w in range(n) if self.one in self.mul_t[w]]
-        else:
-            units = [w for w in range(n) if self.one in self.power_orbit_raw(w)[2]]
+        units = [w for w in range(n) if self.one in self.power_orbit_raw(w)[2]]
         ids = [-1] * n
         count = 0
         for t in range(n):

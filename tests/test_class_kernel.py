@@ -120,6 +120,35 @@ def test_zero_in_z289_holds_without_a_walk(monkeypatch):
     assert walked == []
 
 
+def test_class_rows_stop_at_the_witness_on_a_ring_with_one_unit(monkeypatch):
+    # (Z2)^6: 1 is its only unit, so each of its 64 elements is a class, and
+    # 2R = 0, so a class pair occurs as ([u - v], [u + v]) only as (A, A)
+    spec = "Zn(2)"
+    for _ in range(5):
+        spec = f"prod(Zn(2),{spec})"
+    M = elaborate_module(parse_module_spec(f"self({spec})"))
+    R = M.ring
+    ids, reps, meets = R.unit_classes()
+    assert len(reps) == R.order == 64 and list(meets) == [1 << A for A in range(64)]
+    for t in range(R.order):
+        R.power_orbit_raw(t)
+    products = []
+    mul = R.mul
+    holds = 0
+    for N in all_submodules(M).proper:
+        M.scalar_hit_masks(N.mask)
+        monkeypatch.setattr(R, "mul", lambda i, j: products.append((i, j)) or mul(i, j))
+        rep = check_property("cprimary", N)
+        rows = ids[rep.witness.u] + 1 if rep.witness else len(reps)
+        assert len(products) <= rows * len(reps), N.indices
+        products.clear()
+        holds += check_property("gsdf", N).holds
+        assert len(products) <= len(reps), N.indices
+        products.clear()
+        monkeypatch.undo()
+    assert holds == 63
+
+
 def test_classical_primary_implies_gsdf_and_equals_it_when_two_is_a_unit():
     equal = 0
     for M in _modules():
