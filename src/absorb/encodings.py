@@ -15,6 +15,7 @@ class PairCodec:
     def _init_pairs(self, first, second) -> None:
         self._first = first
         self._second = second
+        self._described: dict[int, str] = {}
         self._ro = second.order
         self.order = first.order * second.order
         self.zero = self.pack(first.zero, second.zero)
@@ -26,8 +27,13 @@ class PairCodec:
         return divmod(i, self._ro)
 
     def describe(self, i: int) -> str:
-        a, b = self.parts(i)
-        return f"({self._first.describe(a)},{self._second.describe(b)})"
+        """``(a,b)``, kept once made: the witnesses of one module name the
+        same few elements again and again."""
+        text = self._described.get(i)
+        if text is None:
+            a, b = self.parts(i)
+            text = self._described[i] = f"({self._first.describe(a)},{self._second.describe(b)})"
+        return text
 
     def literal_to_index(self, lit) -> int:
         if not (isinstance(lit, tuple) and len(lit) == 2):
@@ -47,6 +53,7 @@ class AmalgamationCodec(PairCodec):
         self._rank = {j: k for k, j in enumerate(self.offsets)}
         self._first = first
         self._second = second
+        self._described = {}
         self.order = first.order * len(self.offsets)
         self.zero = self.pack(first.zero, second.zero)
 

@@ -18,7 +18,7 @@ fixes which witness is reported first.
   only on ([u], [v]), as (w1 u)(w2 v) = w1 w2 uv and the powers of wv lie
   in the classes of the powers of v.  gsdf fails at (u, v) on the same mask
   taken at ([u - v], [u + v]), as (u - v)(u + v) = u^2 - v^2, so one table
-  of failing class pairs (``_failure_rows``) serves both.  A class pair
+  of failing class pairs (``_class_failures``) serves both.  A class pair
   (A, B) occurs as ([u - v], [u + v]) exactly when A and B meet a common
   coset of 2R: s - d = 2v is solved by u = d + v, and -1 is a unit, so the
   u >= v half reaches every such pair.  When 2 is a unit every class pair
@@ -29,7 +29,7 @@ fixes which witness is reported first.
     whose mask gives x.
   - Classical primary's order is u, then v, over the whole square, so its
     first failure is the least failing class pair, at its representatives;
-    the class rows are built in ascending order and stop at the first that
+    the class pairs are tested in ascending order and stop at the first that
     fails.
   - Prime and primary (u ascending; the scalars of (N :_R M), or of its
     radical, are skipped) visit class representatives only, as the colon
@@ -37,7 +37,11 @@ fixes which witness is reported first.
 * **Square difference** (sdf, sdf-absorbing and sdf-primary ideals, the
   set-wise sdf-primary condition): one core, ``_sd_scan``.  sdf puts u and
   v, not u - v and u + v, outside Ann(x), and a bare subset is not closed
-  under units, so these keep the element-pair scan.  The hypothesis is
+  under units, so these keep the element-pair scan.  sdf first tests the
+  occurring class pairs as gsdf does, with the mask ``hit[ds] & ~hit[d] &
+  ~hit[s]``: every x at which sdf fails at (u, v) lies in it at ([u - v],
+  [u + v]), so when no occurring pair fails sdf holds and the scan is
+  skipped; its report is the scan's all the same.  The hypothesis is
   symmetric in (u, v), so it walks u ascending and v up to u, the u >= v
   half only, with x innermost.  When the target S is an additive subgroup
   (an ideal, or a set-wise subset found to be one, such as every I x N in
@@ -108,10 +112,13 @@ def _report(prop: str, found, checked: int, R, M: FiniteModule | None = None) ->
     if found is None:
         return PropertyReport(prop, True, None, checked)
     u, v, x, k = found
+    text = f"u={R.describe(u)}"
+    if v is not None:
+        text += f", v={R.describe(v)}"
     if M is None:
         x = None
-    named = (("u", u, R), ("v", v, R), ("x", x, M))
-    text = ", ".join(f"{name}={S.describe(i)}" for name, i, S in named if i is not None)
+    elif x is not None:
+        text += f", x={M.describe(x)}"
     return PropertyReport(prop, False, Witness(u, v or 0, x, k, text), checked)
 
 
@@ -135,14 +142,6 @@ def _orbit_len(R, t: int) -> int:
 
 def _first_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _is_additive_subgroup(S) -> bool:
@@ -234,31 +233,43 @@ def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
     return None, t * (t + 1) // 2 * width
 
 
-def _failure_rows(R, hit, cols):
-    """The failing class pairs, one class A at a time in ascending order:
-    yields (A, row) for each A with a non-empty row, row mapping each class
-    B of ``cols(A)``, ascending, to ``hit[ab] & ~hit[a] &
-    ~reach(b)`` at the representatives a of A and b of B where that is not
-    empty.  It is classical primary's failure mask of every (u, v) in A x B,
-    and gsdf's of every (u, v) with ([u - v], [u + v]) = (A, B).  Each
-    row is built when it is asked for, and reach(b) when a row first needs
-    it, so a caller that stops at its first row pays only up to there."""
-    reps, mul = R.unit_classes()[1], R.mul
-    full = hit[R.zero]  # 0.x = 0 lies in N
-    unreached: dict[int, int] = {}  # B -> full & ~reach(b)
+def _class_failures(R, hit, meets=None, first: bool = False, powers: bool = True) -> dict:
+    """The failing class pairs, {(A, B): mask}, in ascending order of A and
+    then B: over every class pair, or with ``meets`` over the B of
+    ``meets[A]`` only, and with ``first`` up to the first failure only.  The
+    mask is ``hit[ab] & ~hit[a] & ~reach(b)`` at the representatives a of A
+    and b of B, where that is not empty.  It is classical primary's failure
+    mask of every (u, v) in A x B, and gsdf's of every (u, v) with
+    ([u - v], [u + v]) = (A, B).  Without ``powers`` the mask is
+    ``hit[ab] & ~hit[a] & ~hit[b]``, which holds every x at which sdf fails
+    at such a (u, v).
 
-    def keep(B, b, bad):
-        if B not in unreached:
-            unreached[B] = full & ~_power_reach_mask(R, hit, b)
-        return bad & unreached[B]
-
+    The class of 0 and the class of the units never fail, on either side:
+    hit[0] is full, 0 reaches every x, and for a unit w, hit[wb] = hit[b]
+    lies in reach(b) and hit[aw] = hit[a].  reach(b) is computed when a
+    pair first needs it."""
+    ids, reps, _ = R.unit_classes()
+    mul, full = R.mul, hit[R.zero]  # 0.x = 0 lies in N
+    never = 1 << ids[R.zero] | 1 << ids[R.one]
+    unreached: dict[int, int] = {}  # b -> full & ~reach(b)
+    failures = {}
     for A, a in enumerate(reps):
         outside = full & ~hit[a]
-        if outside:
-            row = {B: bad for B in cols(A) if (bad := hit[mul(a, b := reps[B])] & outside)
-                   and (bad := keep(B, b, bad))}
-            if row:
-                yield A, row
+        if outside and not never >> A & 1:
+            cols = (-1 if meets is None else meets[A]) & ~never
+            for B, b in enumerate(reps):
+                if cols >> B & 1:
+                    bad = hit[mul(a, b)] & outside
+                    if bad:
+                        if b not in unreached:
+                            reach = _power_reach_mask(R, hit, b) if powers else hit[b]
+                            unreached[b] = full & ~reach
+                        bad &= unreached[b]
+                        if bad:
+                            failures[A, B] = bad
+                            if first:
+                                return failures
+    return failures
 
 
 def _gsdf_walk(R, ids, failures, width: int):
@@ -305,8 +316,7 @@ def is_gsdf_absorbing(N: Submodule) -> PropertyReport:
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
     ids, _, meets = R.unit_classes()
-    failures = {(A, B): bad for A, row in _failure_rows(R, hit, lambda A: _bits(meets[A]))
-                for B, bad in row.items()}
+    failures = _class_failures(R, hit, meets)
     if not failures:
         n = R.order
         return _report("gsdf", None, n * (n + 1) // 2 * M.order, R)
@@ -316,13 +326,21 @@ def is_gsdf_absorbing(N: Submodule) -> PropertyReport:
 
 def is_sdf_absorbing(N: Submodule) -> PropertyReport:
     """For u, v outside Ann(x): (u^2 - v^2).x in N implies (u - v).x in N or
-    (u + v).x in N."""
+    (u + v).x in N.
+
+    N holds, with ``checked_count`` the whole u >= v half, when no class pair
+    that occurs as ([u - v], [u + v]) fails ``hit[ds] & ~hit[d] &
+    ~hit[s]``; otherwise the pairs are walked by ``_sd_scan``."""
     N.require_proper()
     M = N.module
+    R = M.ring
     hit = M.scalar_hit_masks(N.mask)
+    if not _class_failures(R, hit, R.unit_classes()[2], first=True, powers=False):
+        n = R.order
+        return _report("sdf", None, n * (n + 1) // 2 * M.order, R)
     ann = M.scalar_hit_masks(1 << M.zero)  # ann[t] = {x : t.x = 0}
-    found, checked = _sd_scan(M.ring, hit, M.order, ann=ann)
-    return _report("sdf", found, checked, M.ring, M)
+    found, checked = _sd_scan(R, hit, M.order, ann=ann)
+    return _report("sdf", found, checked, R, M)
 
 
 def is_classical_primary(N: Submodule) -> PropertyReport:
@@ -331,20 +349,21 @@ def is_classical_primary(N: Submodule) -> PropertyReport:
     The scan order is u, then v, over the whole square.  The first failure
     is the least failing class pair (A, B), at their representatives, as
     each class's representative is its least member, and ``checked_count``
-    is its position, (u |R| + v + 1) |M|.  The class rows are built in
+    is its position, (u |R| + v + 1) |M|.  The class pairs are tested in
     ascending order up to the first one that fails."""
     N.require_proper()
     M = N.module
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
     reps = R.unit_classes()[1]
-    n, every = R.order, range(len(reps))
-    for A, row in _failure_rows(R, hit, lambda A: every):
-        B = next(iter(row))
-        u, v = reps[A], reps[B]
-        found = (u, v, _first_bit(row[B]), _orbit_len(R, v))
-        return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
-    return _report("cprimary", None, n * n * M.order, R)
+    n = R.order
+    failures = _class_failures(R, hit, first=True)
+    if not failures:
+        return _report("cprimary", None, n * n * M.order, R)
+    (A, B), bad = failures.popitem()
+    u, v = reps[A], reps[B]
+    found = (u, v, _first_bit(bad), _orbit_len(R, v))
+    return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
 
 
 def is_primary_submodule(N: Submodule) -> PropertyReport:

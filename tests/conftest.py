@@ -4,9 +4,10 @@ the definitions, with the power exponent k swept up to |R|, and share no code
 with the scanners under test.
 
 The walk oracles (``WALK_ORACLES``) are the element-pair scans the class
-kernel of ``absorb.predicates`` replaced: whole reports, witness and
-``checked_count`` included, from the same hit rows, to compare with the
-class kernel's field by field."""
+kernel of ``absorb.predicates`` replaced, and for sdf the scan its class
+test skips when it holds: whole reports, witness and ``checked_count``
+included, from the same hit rows, to compare with the class kernel's field
+by field."""
 from __future__ import annotations
 
 from functools import partial
@@ -305,6 +306,14 @@ def walk_gsdf(N):
     return _report("gsdf", found, checked, M.ring, M)
 
 
+def walk_sdf(N):
+    """sdf by the square-difference scan of every pair u >= v."""
+    M = N.module
+    hit, ann = M.scalar_hit_masks(N.mask), M.scalar_hit_masks(1 << M.zero)
+    found, checked = _sd_scan(M.ring, hit, M.order, ann=ann)
+    return _report("sdf", found, checked, M.ring, M)
+
+
 def walk_cprimary(N):
     """Classical primary by u and v in plain lexicographic order over the
     whole square, x innermost."""
@@ -358,6 +367,7 @@ def walk_primary(N):
 
 WALK_ORACLES = {
     "gsdf": walk_gsdf,
+    "sdf": walk_sdf,
     "cprimary": walk_cprimary,
     "prime": walk_prime,
     "primary": walk_primary,

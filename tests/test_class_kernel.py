@@ -4,6 +4,7 @@ the element-pair walks it replaced, and how many pairs it walks."""
 import pytest
 from conftest import SWEEP_WIDE, WALK_ORACLES
 
+from absorb import predicates
 from absorb.lattice import all_submodules
 from absorb.modules import span, zero_submodule
 from absorb.predicates import check_property, is_gsdf_absorbing
@@ -147,6 +148,29 @@ def test_class_rows_stop_at_the_witness_on_a_ring_with_one_unit(monkeypatch):
         products.clear()
         monkeypatch.undo()
     assert holds == 63
+
+
+def test_sdf_scans_only_when_an_occurring_class_pair_fails(monkeypatch):
+    # a negative verdict always comes from the element-pair scan; every
+    # submodule of (Z6)^3 is sdf, each decided by its class pairs alone
+    scans = []
+    scan = predicates._sd_scan
+    monkeypatch.setattr(predicates, "_sd_scan", lambda *a, **k: scans.append(a) or scan(*a, **k))
+    wide = elaborate_module(parse_module_spec(SWEEP_WIDE[0])).signature
+    held = skipped = 0
+    for M in _modules():
+        n = M.ring.order
+        for N in all_submodules(M).proper:
+            scans.clear()
+            rep = check_property("sdf", N)
+            assert len(scans) == 1 or rep.holds and not scans, (M.name, N.indices)
+            if rep.holds:
+                held += 1
+                skipped += not scans
+                assert rep.checked_count == n * (n + 1) // 2 * M.order
+            if M.signature == wide:
+                assert rep.holds and not scans, N.indices
+    assert held > skipped > 1000
 
 
 def test_classical_primary_implies_gsdf_and_equals_it_when_two_is_a_unit():

@@ -102,3 +102,14 @@ def test_encoding_spot_values():
     assert SC.describe(2) == "6" and RM.order == 4 and RM.ring is E9
     assert SR.act(7, 5) == (7 * 5) % 6
     assert A.describe(A.one) == "(1,1)" and AM.describe(AM.zero) == "(0,0)"
+
+
+def test_kept_descriptions_equal_fresh_ones():
+    # pair encodings keep each description once made; a second read of every
+    # index must give the same text, and keep one entry per element
+    for S in _instances():
+        first = [S.describe(i) for i in range(S.order)]
+        assert [S.describe(i) for i in range(S.order)] == first, type(S).__name__
+        kept = getattr(S, "_described", None)
+        if kept is not None:
+            assert kept == dict(enumerate(first)), type(S).__name__
