@@ -6,6 +6,8 @@ packed and unpacked, described, and read from a literal.  The arithmetic of
 each construction stays in its own class."""
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import InvalidConstructionError
 
 
@@ -87,7 +89,31 @@ def coset_ids(base, kernel) -> list[int]:
     return ids
 
 
-class CosetCodec:
+def _gather(at):
+    """The gather of the entries at positions ``at`` of a bytes row, one C
+    call."""
+    if len(at) == 1:  # itemgetter of one key returns the entry, not a tuple
+        return itemgetter(slice(at[0], at[0] + 1))
+    get = itemgetter(*at)
+    return lambda row: bytes(get(row))
+
+
+class _BaseElements:
+    """What the two codecs whose elements are elements of ``base`` share:
+    ``_at`` lists those base elements in own-index order, and
+    ``_own_index()`` gives the own index of every base element."""
+
+    def compose(self, rows) -> list[bytes]:
+        """Bytes rows of the base, indexed by base elements, as rows of this
+        structure: each read at ``_at`` and translated to own indices, one
+        gather and one translate per row.  Needs a base of at most 256
+        elements; a base element outside a carrier becomes 0xFF."""
+        pick = _gather(self._at)
+        own = bytes(self._own_index()).ljust(256, b"\xff")
+        return [pick(row).translate(own) for row in rows]
+
+
+class CosetCodec(_BaseElements):
     """Cosets a + K of a subgroup K of ``base``, ranked by their least
     member, which is the coset's representative."""
 
@@ -98,11 +124,14 @@ class CosetCodec:
             if rank == len(reps):
                 reps.append(a)
         self.base = base
-        self._reps = reps
+        self._reps = self._at = reps
         self._proj = proj
         self._kernel = tuple(kernel)
         self.order = len(reps)
         self.zero = proj[base.zero]
+
+    def _own_index(self) -> list[int]:
+        return self._proj
 
     def project(self, base_index: int) -> int:
         return self._proj[base_index]
@@ -117,19 +146,33 @@ class CosetCodec:
         return self._proj[self.base.literal_to_index(lit)]
 
 
-class CarrierCodec:
+class CarrierCodec(_BaseElements):
     """A subset of ``base`` whose k-th element is its k-th smallest base
     index."""
 
     def _init_carrier(self, base, carrier) -> None:
         self.base = base
-        self.carrier = sorted(carrier)
+        self.carrier = self._at = sorted(set(carrier))
+        if self.carrier and not 0 <= self.carrier[0] <= self.carrier[-1] < base.order:
+            raise InvalidConstructionError(f"carrier is not a subset of {base.name}")
         self._pos = {c: k for k, c in enumerate(self.carrier)}
+        if base.zero not in self._pos:
+            raise InvalidConstructionError(f"carrier does not contain the zero of {base.name}")
         self.order = len(self.carrier)
         self.zero = self._pos[base.zero]
 
+    def _own_index(self) -> bytearray:
+        own = bytearray(b"\xff" * self.base.order)
+        for k, c in enumerate(self.carrier):
+            own[c] = k
+        return own
+
     def from_base(self, base_index: int) -> int:
-        return self._pos[base_index]
+        """The own index of a base element, which must lie in the carrier."""
+        k = self._pos.get(base_index)
+        if k is None:
+            raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
+        return k
 
     def to_base(self, i: int) -> int:
         return self.carrier[i]

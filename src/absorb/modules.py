@@ -28,6 +28,7 @@ from .rings import (
     SubringOnIdempotent,
     ZMod,
     byte_rows,
+    check_hom_entries,
 )
 
 ACTION_SAMPLE_COUNT = 1000
@@ -115,18 +116,27 @@ class FiniteModule:
         """Swap the structural add/act/neg for lookups in ``add_t``, ``act_t``
         and ``neg_t`` when |M| * (|M| + |R|) <= TABULATE_BOUND, which keeps
         every entry below 256."""
-        nr, nm = self.ring.order, self.order
-        if nm * (nm + nr) > TABULATE_BOUND:
+        nm = self.order
+        if nm * (nm + self.ring.order) > TABULATE_BOUND:
             return
-        add, act, cols = self.add, self.act, range(nm)
-        self.add_t = add_t = byte_rows((map(add, repeat(i), cols) for i in cols), nm, self.name)
-        self.act_t = act_t = byte_rows((map(act, repeat(r), cols) for r in range(nr)), nm,
-                                       self.name)
-        self.neg_t = neg_t = byte_rows([map(self.neg, cols)], nm, self.name)[0]
+        add_rows, act_rows, neg_row = self._op_rows()
+        self.add_t = add_t = byte_rows(add_rows, nm, self.name)
+        self.act_t = act_t = byte_rows(act_rows, nm, self.name)
+        self.neg_t = neg_t = byte_rows([neg_row], nm, self.name)[0]
         self.add = lambda i, j: add_t[i][j]
         self.act = lambda r, x: act_t[r][x]
         self.neg = neg_t.__getitem__
         self.sub = lambda i, j: add_t[i][neg_t[j]]
+
+    def _op_rows(self):
+        """The add rows, act rows and negation row, one structural call per
+        cell: the tables of a module that has no base to read them from."""
+        add, act, cols = self.add, self.act, range(self.order)
+        return (
+            (map(add, repeat(i), cols) for i in cols),
+            (map(act, repeat(r), cols) for r in range(self.ring.order)),
+            map(self.neg, cols),
+        )
 
     def _check_axioms(self) -> None:
         nr, nm = self.ring.order, self.order
@@ -427,7 +437,28 @@ class ProductOverProductRing(ProductModule):
         return ("prodmod2", self.m1.signature, self.m2.signature)
 
 
-class QuotientModule(CosetCodec, FiniteModule):
+class _DerivedModule(FiniteModule):
+    """A module whose elements are elements of ``base``, cosets or a carrier:
+    with the base's tables, its own are the base's rows composed by its
+    codec, and otherwise made one cell at a time."""
+
+    base: FiniteModule
+
+    def _op_rows(self):
+        base = self.base
+        if base.act_t is None:
+            return super()._op_rows()
+        return (
+            self.compose(map(base.add_t.__getitem__, self._at)),
+            self.compose(self._base_act_rows()),
+            self.compose([base.neg_t])[0],
+        )
+
+    def _base_act_rows(self):
+        return self.base.act_t
+
+
+class QuotientModule(CosetCodec, _DerivedModule):
     """base / kernel, cosets indexed by rank of least representative."""
 
     def __init__(self, base: FiniteModule, kernel: "Submodule"):
@@ -452,7 +483,7 @@ class QuotientModule(CosetCodec, FiniteModule):
         return ("quotmod", self.base.signature, self._kernel)
 
 
-class SubcarrierModule(CarrierCodec, FiniteModule):
+class SubcarrierModule(CarrierCodec, _DerivedModule):
     """A submodule carrier promoted to a module in its own right (used for
     IM, localized carriers and similar); same acting ring as the base."""
 
@@ -463,13 +494,13 @@ class SubcarrierModule(CarrierCodec, FiniteModule):
         self._finalize()
 
     def add(self, i, j):
-        return self._pos[self.base.add(self.carrier[i], self.carrier[j])]
+        return self.from_base(self.base.add(self.carrier[i], self.carrier[j]))
 
     def neg(self, i):
-        return self._pos[self.base.neg(self.carrier[i])]
+        return self.from_base(self.base.neg(self.carrier[i]))
 
     def act(self, r, x):
-        return self._pos[self.base.act(r, self.carrier[x])]
+        return self.from_base(self.base.act(r, self.carrier[x]))
 
     @property
     def signature(self):
@@ -522,7 +553,10 @@ class RestrictedModule(SubcarrierModule):
         self._finalize()
 
     def act(self, r, x):
-        return self._pos[self.base.act(self.ring.carrier[r], self.carrier[x])]
+        return self.from_base(self.base.act(self.ring.carrier[r], self.carrier[x]))
+
+    def _base_act_rows(self):
+        return map(self.base.act_t.__getitem__, self.ring.carrier)
 
     @property
     def signature(self):
@@ -537,6 +571,8 @@ class Submodule:
 
     def __init__(self, module: FiniteModule, indices, *, _trusted: bool = False):
         indices = tuple(sorted(set(indices)))
+        if not _trusted and indices and not 0 <= indices[0] <= indices[-1] < module.order:
+            raise InvalidConstructionError(f"submodule indices are not elements of {module.name}")
         self.module = module
         self.indices = indices
         self.mask = mask_of(indices)
@@ -545,18 +581,36 @@ class Submodule:
             self._validate()
 
     def _validate(self) -> None:
-        M, mask = self.module, self.mask
+        """Closure under negation, addition and scalars; the first failing
+        member, in index order, names the first of these it fails.  With
+        tables this is one translate per scalar, per member and for
+        ``neg_t``."""
+        M, mask, indices = self.module, self.mask, self.indices
         if not mask >> M.zero & 1:
             raise InvalidConstructionError("submodule must contain 0")
-        for a in self.indices:
-            if not mask >> M.neg(a) & 1:
+        if M.act_t is None:
+            for a in indices:
+                if not mask >> M.neg(a) & 1:
+                    raise InvalidConstructionError("carrier not closed under negation")
+                for b in indices:
+                    if not mask >> M.add(a, b) & 1:
+                        raise InvalidConstructionError("carrier not closed under addition")
+                for r in range(M.ring.order):
+                    if not mask >> M.act(r, a) & 1:
+                        raise InvalidConstructionError("carrier not closed under scalars")
+            return
+        lut = mask_lut(mask, M.order)
+        neg_out = mask & ~preimage_mask(M.neg_t, lut)
+        scalar_out = 0
+        for row in M.act_t:
+            scalar_out |= mask & ~preimage_mask(row, lut)
+        for a in indices:
+            if neg_out >> a & 1:
                 raise InvalidConstructionError("carrier not closed under negation")
-            for b in self.indices:
-                if not mask >> M.add(a, b) & 1:
-                    raise InvalidConstructionError("carrier not closed under addition")
-            for r in range(M.ring.order):
-                if not mask >> M.act(r, a) & 1:
-                    raise InvalidConstructionError("carrier not closed under scalars")
+            if mask & ~preimage_mask(M.add_t[a], lut):
+                raise InvalidConstructionError("carrier not closed under addition")
+            if scalar_out >> a & 1:
+                raise InvalidConstructionError("carrier not closed under scalars")
 
     @property
     def order(self) -> int:
@@ -778,7 +832,7 @@ class ModuleHom:
     (map(r.x) = ring_map(r).map(x)), which covers localization maps."""
 
     def __init__(self, domain, codomain, table, ring_map: RingHom | None = None, name="phi"):
-        table = list(table)
+        table = check_hom_entries(table, codomain, "module hom")
         if len(table) != domain.order:
             raise InvalidConstructionError("module hom table has wrong length")
         if ring_map is None:
@@ -793,13 +847,29 @@ class ModuleHom:
             scalar = ring_map
         if table[domain.zero] != codomain.zero:
             raise InvalidConstructionError("module hom must send 0 to 0")
-        for a in range(domain.order):
-            for b in range(domain.order):
-                if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
-                    raise InvalidConstructionError("module hom is not additive")
-        for r in range(domain.ring.order):
+        if domain.act_t is None or codomain.act_t is None:
             for a in range(domain.order):
-                if table[domain.act(r, a)] != codomain.act(scalar(r), table[a]):
+                for b in range(domain.order):
+                    if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
+                        raise InvalidConstructionError("module hom is not additive")
+            for r in range(domain.ring.order):
+                for a in range(domain.order):
+                    if table[domain.act(r, a)] != codomain.act(scalar(r), table[a]):
+                        raise InvalidConstructionError("module hom is not linear")
+        else:
+            # f(a + b) = f(a) + f(b) and f(rb) = r'f(b) for every b at once:
+            # a domain row mapped through f against the images f(b) mapped
+            # through the codomain's row of f(a), or of r'
+            images = bytes(table)
+            mapped = images.ljust(256, b"\0")
+            pad = bytes(256 - codomain.order)
+            add_b = codomain.add_t
+            for a, row in enumerate(domain.add_t):
+                if row.translate(mapped) != images.translate(add_b[table[a]] + pad):
+                    raise InvalidConstructionError("module hom is not additive")
+            act_b = codomain.act_t
+            for r, row in enumerate(domain.act_t):
+                if row.translate(mapped) != images.translate(act_b[scalar(r)] + pad):
                     raise InvalidConstructionError("module hom is not linear")
         self.domain = domain
         self.codomain = codomain

@@ -45,6 +45,18 @@ def byte_rows(rows, n: int, name: str) -> list[bytes]:
     return table
 
 
+def check_hom_entries(table, codomain, what: str) -> list[int]:
+    """The entries of a hom table as a list, each checked to be an element
+    index of ``codomain`` before anything reads through it."""
+    table = list(table)
+    for i, y in enumerate(table):
+        if not (isinstance(y, int) and 0 <= y < codomain.order):
+            raise InvalidConstructionError(
+                f"{what} table entry {i} is {y!r}, not an element of {codomain.name}"
+            )
+    return table
+
+
 class FiniteRing:
     """Base class; subclasses provide index arithmetic and set zero/one."""
 
@@ -104,18 +116,28 @@ class FiniteRing:
             self._check_axioms()
 
     def _tabulate(self) -> None:
-        """Set ``add_t``, ``mul_t`` and ``neg_t`` from add/mul/neg when the
-        ring has at most 256 elements (n^2 <= TABULATE_BOUND), else None."""
+        """Set ``add_t``, ``mul_t`` and ``neg_t`` when the ring has at most
+        256 elements (n^2 <= TABULATE_BOUND), else None."""
         n = self.order
         tables = None, None, None
         if n * n <= TABULATE_BOUND:
-            add, mul, cols = self.add, self.mul, range(n)
+            add_rows, mul_rows, neg_row = self._op_rows()
             tables = (
-                byte_rows((map(add, repeat(i), cols) for i in cols), n, self.name),
-                byte_rows((map(mul, repeat(i), cols) for i in cols), n, self.name),
-                byte_rows([map(self.neg, cols)], n, self.name)[0],
+                byte_rows(add_rows, n, self.name),
+                byte_rows(mul_rows, n, self.name),
+                byte_rows([neg_row], n, self.name)[0],
             )
         self.add_t, self.mul_t, self.neg_t = tables
+
+    def _op_rows(self):
+        """The add rows, mul rows and negation row, one structural call per
+        cell: the tables of a ring that has no base to read them from."""
+        add, mul, cols = self.add, self.mul, range(self.order)
+        return (
+            (map(add, repeat(i), cols) for i in cols),
+            (map(mul, repeat(i), cols) for i in cols),
+            map(self.neg, cols),
+        )
 
     def _check_axioms(self) -> None:
         """R is a module over itself exactly when it satisfies every ring
@@ -389,7 +411,26 @@ class ProductRing(PairCodec, FiniteRing):
         return ("product", self.left.signature, self.right.signature)
 
 
-class QuotientRing(CosetCodec, FiniteRing):
+class _DerivedRing(FiniteRing):
+    """A ring whose elements are elements of ``base``, cosets or a carrier:
+    with the base's tables, its own are the base's rows composed by its
+    codec, and otherwise made one cell at a time."""
+
+    base: FiniteRing
+
+    def _op_rows(self):
+        base = self.base
+        if base.add_t is None:
+            return super()._op_rows()
+        at = self._at
+        return (
+            self.compose(map(base.add_t.__getitem__, at)),
+            self.compose(map(base.mul_t.__getitem__, at)),
+            self.compose([base.neg_t])[0],
+        )
+
+
+class QuotientRing(CosetCodec, _DerivedRing):
     """base / ideal; elements are cosets indexed by rank of their least
     representative."""
 
@@ -419,7 +460,7 @@ class QuotientRing(CosetCodec, FiniteRing):
         return ("quotient", self.base.signature, self._kernel)
 
 
-class SubringOnIdempotent(CarrierCodec, FiniteRing):
+class SubringOnIdempotent(CarrierCodec, _DerivedRing):
     """The ring e*base for an idempotent e, with identity e."""
 
     def __init__(self, base: FiniteRing, e: int):
@@ -538,7 +579,7 @@ class RingHom:
     construction."""
 
     def __init__(self, domain: FiniteRing, codomain: FiniteRing, table, name="f"):
-        table = list(table)
+        table = check_hom_entries(table, codomain, "hom")
         if len(table) != domain.order:
             raise InvalidConstructionError("hom table has wrong length")
         if table[domain.zero] != codomain.zero or table[domain.one] != codomain.one:

@@ -288,6 +288,44 @@ def naive_all_submodules(M) -> list[tuple[int, ...]]:
     return sorted((tuple(elems(m)) for m in seen), key=lambda t: (len(t), t))
 
 
+def naive_closure_error(M, indices) -> str | None:
+    """The message ``Submodule(M, indices)`` raises, or None, by the element
+    loop: 0 first, then each member in index order, tested for negation,
+    addition and scalars in that order."""
+    mask = mask_of(indices)
+    members = sorted(set(indices))
+    if not mask >> M.zero & 1:
+        return "submodule must contain 0"
+    for a in members:
+        if not mask >> M.neg(a) & 1:
+            return "carrier not closed under negation"
+        for b in members:
+            if not mask >> M.add(a, b) & 1:
+                return "carrier not closed under addition"
+        for r in range(M.ring.order):
+            if not mask >> M.act(r, a) & 1:
+                return "carrier not closed under scalars"
+    return None
+
+
+def naive_hom_error(domain, codomain, table, ring_map=None) -> str | None:
+    """The message ``ModuleHom`` raises for a table of the right length with
+    entries in range, or None, by the element loop: 0 first, then
+    additivity over every pair, then linearity over every scalar."""
+    scalar = ring_map if ring_map is not None else (lambda r: r)
+    if table[domain.zero] != codomain.zero:
+        return "module hom must send 0 to 0"
+    for a in range(domain.order):
+        for b in range(domain.order):
+            if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
+                return "module hom is not additive"
+    for r in range(domain.ring.order):
+        for a in range(domain.order):
+            if table[domain.act(r, a)] != codomain.act(scalar(r), table[a]):
+                return "module hom is not linear"
+    return None
+
+
 NAIVE_ORACLES = {
     "gsdf": naive_gsdf,
     "sdf": naive_sdf,
