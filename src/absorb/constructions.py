@@ -4,6 +4,7 @@ along them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .encodings import AmalgamationCodec
 from .errors import (
@@ -99,18 +100,25 @@ class MultiplicativeSet:
 
     def __init__(self, ring: FiniteRing, elements):
         self.ring = ring
-        seen = {ring.one}
-        queue = [ring.literal_to_index(e) if not isinstance(e, int) else e for e in elements]
-        seen.update(queue)
-        frontier = list(seen)
-        while frontier:
-            a = frontier.pop()
-            for b in list(seen):
-                c = ring.mul(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        self.indices = tuple(sorted(seen))
+        self.indices = (ring.one,)
+        for e in elements:
+            self.indices = self._closure_with(
+                ring.literal_to_index(e) if not isinstance(e, int) else e
+            )
+
+    def _closure_with(self, g: int) -> tuple[int, ...]:
+        """The closure of this closed set together with g: R is commutative,
+        so it is S * {1, g, g^2, ...}, and g's power orbit lists its powers."""
+        mul, closed = self.ring.mul, set(self.indices)
+        for p in self.ring.power_orbit_raw(g)[2]:
+            closed.update(map(mul, self.indices, repeat(p)))
+        return tuple(sorted(closed))
+
+    def extended(self, g: int) -> "MultiplicativeSet":
+        """The closure of this set together with g."""
+        out = MultiplicativeSet(self.ring, ())
+        out.indices = self._closure_with(g)
+        return out
 
     @property
     def product(self) -> int:

@@ -2,8 +2,10 @@
 
 Each class here owns one way of numbering the elements of a construction
 built from other structures, for rings and modules alike: how an index is
-packed and unpacked, described, and read from a literal.  The arithmetic of
-each construction stays in its own class."""
+packed and unpacked, described, and read from a literal.  The two codecs
+whose elements are base elements also compose their tables from the base's
+rows and check what their derivation can break.  The arithmetic of each
+construction stays in its own class."""
 from __future__ import annotations
 
 from operator import itemgetter
@@ -98,10 +100,26 @@ def _gather(at):
     return lambda row: bytes(get(row))
 
 
+def row_hom_misses(f, rows, images):
+    """Where the map ``f`` (a table of target indices) fails to carry
+    ``rows`` onto ``images``: for each k with f(rows[k][b]) !=
+    images[k][f(b)] at some b, the pair (k, b) at the least such b.  Two
+    translates per row: row k mapped through f against the images f(b)
+    read through image row k.  Rows are bytes, and f has at most 256
+    entries, each below 256."""
+    f = bytes(f)
+    mapped = f.ljust(256, b"\0")
+    for k, (row, image) in enumerate(zip(rows, images)):
+        got, want = row.translate(mapped), f.translate(image.ljust(256, b"\0"))
+        if got != want:
+            yield k, next(b for b, (x, y) in enumerate(zip(got, want)) if x != y)
+
+
 class _BaseElements:
     """What the two codecs whose elements are elements of ``base`` share:
-    ``_at`` lists those base elements in own-index order, and
-    ``_own_index()`` gives the own index of every base element."""
+    ``_at`` lists those base elements in own-index order,
+    ``_own_index()`` gives the own index of every base element, and
+    ``_check_derivation()`` checks what a tabulated base leaves open."""
 
     def compose(self, rows) -> list[bytes]:
         """Bytes rows of the base, indexed by base elements, as rows of this
@@ -111,6 +129,17 @@ class _BaseElements:
         pick = _gather(self._at)
         own = bytes(self._own_index()).ljust(256, b"\xff")
         return [pick(row).translate(own) for row in rows]
+
+    def _check_axioms(self) -> None:
+        """Over a tabulated base, only what the derivation can break
+        (``_check_derivation``), as the base's own check covers every
+        axiom; over any other base, the structure's own check.  The full
+        row kernel runs on every derived structure in
+        ``tests/test_derived_tables.py``."""
+        if self.base.add_t is None:
+            super()._check_axioms()
+        else:
+            self._check_derivation()
 
 
 class CosetCodec(_BaseElements):
@@ -129,9 +158,25 @@ class CosetCodec(_BaseElements):
         self._kernel = tuple(kernel)
         self.order = len(reps)
         self.zero = proj[base.zero]
+        # each element in one of the ranked cosets, the zero coset the kernel
+        zeros = {a for a, c in enumerate(proj) if c == self.zero}
+        if len(set(proj)) != self.order or zeros != set(self._kernel):
+            raise InvalidConstructionError(f"quotient kernel is not a subgroup of {base.name}")
 
     def _own_index(self) -> list[int]:
         return self._proj
+
+    def _check_projection(self, *ops) -> None:
+        """That the coset projection p carries each base operation onto this
+        structure's, for each ``(symbol, base rows, rows)``: p(row_k[b]) =
+        image_k[p(b)].  As p is onto, every axiom of the base then holds
+        here too; with the zero coset exactly the kernel, this is the
+        quotient by it."""
+        for symbol, rows, images in ops:
+            if next(row_hom_misses(self._proj, rows, images), None):
+                raise InvalidConstructionError(
+                    f"{self.name}: the coset projection does not preserve {symbol}"
+                )
 
     def project(self, base_index: int) -> int:
         return self._proj[base_index]
@@ -166,6 +211,12 @@ class CarrierCodec(_BaseElements):
         for k, c in enumerate(self.carrier):
             own[c] = k
         return own
+
+    def _check_derivation(self) -> None:
+        """Nothing more: the carrier holds 0 (``_init_carrier``), and
+        ``byte_rows`` refused any entry outside it, so it is closed under +,
+        - and the action or *.  It is a submodule, or a subring, in which
+        e(ex) = ex as e is idempotent."""
 
     def from_base(self, base_index: int) -> int:
         """The own index of a base element, which must lie in the carrier."""

@@ -121,7 +121,8 @@ def all_ideals(R, bound: int | None = None) -> SubmoduleLattice:
 
 def all_multiplicative_sets(R) -> list:
     """Every multiplicatively closed subset of R containing 1, as
-    MultiplicativeSet objects; found by BFS over generator extensions."""
+    MultiplicativeSet objects; found by BFS over generator extensions, each
+    set extended from its parent's closed set by one generator."""
     from .constructions import MultiplicativeSet
 
     base = MultiplicativeSet(R, [])
@@ -132,7 +133,7 @@ def all_multiplicative_sets(R) -> list:
         for g in range(R.order):
             if g in S.indices:
                 continue
-            T = MultiplicativeSet(R, list(S.indices) + [g])
+            T = S.extended(g)
             if T.indices not in seen:
                 seen[T.indices] = T
                 frontier.append(T)

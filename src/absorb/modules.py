@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import repeat
 
-from .encodings import CarrierCodec, CosetCodec, PairCodec
+from .encodings import CarrierCodec, CosetCodec, PairCodec, row_hom_misses
 from .errors import (
     CrossStructureError,
     InvalidConstructionError,
@@ -469,6 +469,15 @@ class QuotientModule(CosetCodec, _DerivedModule):
         self.name = f"{base.name}/K"
         self._finalize()
 
+    def _check_derivation(self) -> None:
+        """p preserves +, - and the action of every scalar."""
+        base = self.base
+        self._check_projection(
+            ("+", base.add_t, map(self.add_t.__getitem__, self._proj)),
+            ("-", [base.neg_t], [self.neg_t]),
+            ("the action", base.act_t, self.act_t),
+        )
+
     def add(self, i, j):
         return self._proj[self.base.add(self._reps[i], self._reps[j])]
 
@@ -857,20 +866,14 @@ class ModuleHom:
                     if table[domain.act(r, a)] != codomain.act(scalar(r), table[a]):
                         raise InvalidConstructionError("module hom is not linear")
         else:
-            # f(a + b) = f(a) + f(b) and f(rb) = r'f(b) for every b at once:
-            # a domain row mapped through f against the images f(b) mapped
-            # through the codomain's row of f(a), or of r'
-            images = bytes(table)
-            mapped = images.ljust(256, b"\0")
-            pad = bytes(256 - codomain.order)
-            add_b = codomain.add_t
-            for a, row in enumerate(domain.add_t):
-                if row.translate(mapped) != images.translate(add_b[table[a]] + pad):
-                    raise InvalidConstructionError("module hom is not additive")
-            act_b = codomain.act_t
-            for r, row in enumerate(domain.act_t):
-                if row.translate(mapped) != images.translate(act_b[scalar(r)] + pad):
-                    raise InvalidConstructionError("module hom is not linear")
+            # f(a + b) = f(a) + f(b) and f(rb) = r'f(b), a row at a time:
+            # the codomain's row of f(a), or of r', is the image row
+            add_b, act_b = codomain.add_t, codomain.act_t
+            if next(row_hom_misses(table, domain.add_t, map(add_b.__getitem__, table)), None):
+                raise InvalidConstructionError("module hom is not additive")
+            scalars = map(scalar, range(domain.ring.order))
+            if next(row_hom_misses(table, domain.act_t, map(act_b.__getitem__, scalars)), None):
+                raise InvalidConstructionError("module hom is not linear")
         self.domain = domain
         self.codomain = codomain
         self.table = table

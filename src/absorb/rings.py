@@ -12,7 +12,14 @@ import random
 from itertools import repeat
 from math import gcd
 
-from .encodings import AmalgamationCodec, CarrierCodec, CosetCodec, PairCodec, coset_ids
+from .encodings import (
+    AmalgamationCodec,
+    CarrierCodec,
+    CosetCodec,
+    PairCodec,
+    coset_ids,
+    row_hom_misses,
+)
 from .errors import (
     CrossStructureError,
     InvalidConstructionError,
@@ -446,6 +453,15 @@ class QuotientRing(CosetCodec, _DerivedRing):
             raise InvalidOrderError("quotient by the full ring is the zero ring")
         self._finalize()
 
+    def _check_derivation(self) -> None:
+        """p preserves + and *; then it preserves - too, as p(a) + p(-a) =
+        p(0)."""
+        base = self.base
+        self._check_projection(
+            ("+", base.add_t, map(self.add_t.__getitem__, self._proj)),
+            ("*", base.mul_t, map(self.mul_t.__getitem__, self._proj)),
+        )
+
     def add(self, i, j):
         return self._proj[self.base.add(self._reps[i], self._reps[j])]
 
@@ -584,12 +600,22 @@ class RingHom:
             raise InvalidConstructionError("hom table has wrong length")
         if table[domain.zero] != codomain.zero or table[domain.one] != codomain.one:
             raise InvalidConstructionError("hom must send 0 to 0 and 1 to 1")
-        for a in range(domain.order):
-            for b in range(domain.order):
-                if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
-                    raise InvalidConstructionError("hom is not additive")
-                if table[domain.mul(a, b)] != codomain.mul(table[a], table[b]):
-                    raise InvalidConstructionError("hom is not multiplicative")
+        if domain.add_t is None or codomain.add_t is None:
+            for a in range(domain.order):
+                for b in range(domain.order):
+                    if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
+                        raise InvalidConstructionError("hom is not additive")
+                    if table[domain.mul(a, b)] != codomain.mul(table[a], table[b]):
+                        raise InvalidConstructionError("hom is not multiplicative")
+        else:
+            # the first failing (a, b) of the loop above, the sum's on a tie
+            add_b, mul_b = codomain.add_t, codomain.mul_t
+            add = next(row_hom_misses(table, domain.add_t, map(add_b.__getitem__, table)), None)
+            mul = next(row_hom_misses(table, domain.mul_t, map(mul_b.__getitem__, table)), None)
+            if add is not None and (mul is None or add <= mul):
+                raise InvalidConstructionError("hom is not additive")
+            if mul is not None:
+                raise InvalidConstructionError("hom is not multiplicative")
         self.domain = domain
         self.codomain = codomain
         self.table = table

@@ -326,6 +326,21 @@ def naive_hom_error(domain, codomain, table, ring_map=None) -> str | None:
     return None
 
 
+def naive_ring_hom_error(domain, codomain, table) -> str | None:
+    """The message ``RingHom`` raises for a table of the right length with
+    entries in range, or None, by the element loop: 0 and 1 first, then
+    every pair (a, b) in order, additivity before multiplicativity."""
+    if table[domain.zero] != codomain.zero or table[domain.one] != codomain.one:
+        return "hom must send 0 to 0 and 1 to 1"
+    for a in range(domain.order):
+        for b in range(domain.order):
+            if table[domain.add(a, b)] != codomain.add(table[a], table[b]):
+                return "hom is not additive"
+            if table[domain.mul(a, b)] != codomain.mul(table[a], table[b]):
+                return "hom is not multiplicative"
+    return None
+
+
 NAIVE_ORACLES = {
     "gsdf": naive_gsdf,
     "sdf": naive_sdf,

@@ -1,15 +1,21 @@
 """Quotient and carrier structures compose their tables from their base's
 rows, and homs and submodule closure are checked a row at a time: each
 against its per-cell definition or its element-loop oracle, on every
-quotient and carrier of the suites' family and the sweep's wide modules."""
+quotient and carrier of the suites' family and the sweep's wide modules.
+
+Over a tabulated base, construction checks a quotient by its projection
+and a carrier by its closure alone; the full axiom kernel that these
+imply runs here instead, on every derived structure the file builds."""
+import functools
 import random
-from itertools import repeat
+from itertools import combinations, product, repeat
 
 import pytest
-from conftest import SWEEP_WIDE, naive_closure_error, naive_hom_error
+from conftest import SWEEP_WIDE, naive_closure_error, naive_hom_error, naive_ring_hom_error
 
+from absorb import encodings
 from absorb.constructions import quotient_module
-from absorb.errors import InvalidConstructionError
+from absorb.errors import InvalidConstructionError, InvalidOrderError
 from absorb.lattice import all_submodules
 from absorb.modules import (
     CyclicModule,
@@ -68,42 +74,62 @@ def _tables(S):
     return S.add_t, (S.mul_t if isinstance(S, FiniteRing) else S.act_t), S.neg_t
 
 
-def _unchecked(cls):
-    """``cls`` without its axiom check, which other tests cover: these build
-    thousands of structures only to read their tables."""
-    return type(cls.__name__, (cls,), {"_check_axioms": lambda self: None})
+def _assert_axioms_hold(S):
+    """The full row kernel on S, for a ring on S over itself together with
+    the transpose compare for commutativity of *."""
+    if isinstance(S, FiniteRing):
+        S.as_module._check_axiom_rows()
+        assert list(zip(*S.mul_t)) == list(map(tuple, S.mul_t)), S
+    else:
+        S._check_axiom_rows()
 
 
-def test_composed_tables_equal_their_per_cell_definitions():
-    QuotientModule, SubcarrierModule, RestrictedModule, QuotientRing, SubringOnIdempotent = map(
-        _unchecked, DERIVED
-    )
-    counts = dict.fromkeys(DERIVED, 0)
+@functools.lru_cache(maxsize=None)
+def _derived_structures() -> tuple:
+    """Every quotient and carrier of the family's tabulated modules, and
+    over each of their rings every quotient ring, every idempotent subring
+    and the restricted modules over it, each built with its construction
+    check."""
+    structures = []
     rings = {}
     modules = [M for M in _family() if M.act_t is not None]
     for M in modules:
         rings.setdefault(M.ring.signature, M.ring)
         lat = all_submodules(M)
-        for S in [QuotientModule(M, K) for K in lat.proper] + [
-            SubcarrierModule(M, P.indices) for P in lat.members
-        ]:
-            assert _tables(S) == _per_cell_tables(S), S
-            counts[type(S).__base__] += 1
+        structures += [QuotientModule(M, K) for K in lat.proper]
+        structures += [SubcarrierModule(M, P.indices) for P in lat.members]
     for R in rings.values():
         if R.add_t is None:
             continue
-        structures = [QuotientRing(R, J) for J in all_submodules(R.as_module).proper]
+        structures += [QuotientRing(R, J) for J in all_submodules(R.as_module).proper]
         for e in range(R.order):
             if e != R.zero and R.mul(e, e) == e:
                 sub = SubringOnIdempotent(R, e)
                 structures.append(sub)
-                structures += [
-                    RestrictedModule(M, sub) for M in modules if M.ring.same_ring(R)
-                ]
-        for S in structures:
-            assert _tables(S) == _per_cell_tables(S), S
-            counts[type(S).__base__] += 1
+                structures += [RestrictedModule(M, sub) for M in modules if M.ring.same_ring(R)]
+    return tuple(structures)
+
+
+def test_composed_tables_equal_their_per_cell_definitions():
+    counts = dict.fromkeys(DERIVED, 0)
+    for S in _derived_structures():
+        assert _tables(S) == _per_cell_tables(S), S
+        counts[type(S)] += 1
     assert min(counts.values()) > 100, counts
+
+
+def test_every_derived_structure_passes_the_full_axiom_kernel():
+    """The kernel reads only a structure's tables, its zero and one, and
+    its ring's tables, so structures that agree on all of these, as a
+    quotient and a carrier of Z_n of one order do, are checked once."""
+    checked = set()
+    for S in _derived_structures():
+        ring = S.one if isinstance(S, FiniteRing) else S.ring.signature
+        key = (ring, *map(b"".join, _tables(S)[:2]), S.neg_t, S.zero)
+        if key not in checked:
+            checked.add(key)
+            _assert_axioms_hold(S)
+    assert len(checked) > 1500
 
 
 def test_structures_over_an_untabulated_base_tabulate_per_cell():
@@ -128,6 +154,24 @@ def test_tabulated_bases_are_never_read_per_cell(monkeypatch):
     RestrictedModule(M, SubringOnIdempotent(R, 21))
     with pytest.raises(AssertionError, match="one cell at a time"):
         CyclicModule(R, 6)  # no base: the per-cell rows are its only ones
+
+
+def test_derived_structures_over_a_tabulated_base_skip_the_axiom_kernel(monkeypatch):
+    def kernel(self):
+        raise AssertionError("the axiom kernel ran")
+
+    monkeypatch.setattr(FiniteModule, "_check_axiom_rows", kernel)
+    R = make_zmod(60)
+    M = R.as_module
+    K = span(M, [12])
+    QuotientModule(M, K)
+    SubcarrierModule(M, K.indices)
+    QuotientRing(R, K)
+    RestrictedModule(M, SubringOnIdempotent(R, 21))
+    with pytest.raises(AssertionError, match="the axiom kernel ran"):
+        CyclicModule(R, 6)  # not derived: the kernel is its check
+    with pytest.raises(AssertionError, match="the axiom kernel ran"):
+        ProductRing(R, make_zmod(2))
 
 
 def test_row_checks_never_call_the_structural_operations():
@@ -193,6 +237,117 @@ def test_row_hom_check_reads_the_codomain_row_of_the_mapped_scalar():
     along = RingHom(R, R, swap)
     assert naive_hom_error(M, M, swap, along) is None
     assert ModuleHom(M, M, swap, ring_map=along).table == swap
+
+
+def _ring_hom_cases():
+    """The ring homs of ``default_family()``'s amalgamations and Z12 -> Z6,
+    each with every one-entry change."""
+    homs = {}
+    Z12, Z6 = make_zmod(12), make_zmod(6)
+    for f in [getattr(M.ring, "hom", None) for M in default_family()] + [
+        RingHom(Z12, Z6, [x % 6 for x in range(12)])
+    ]:
+        if f is not None:
+            homs[(f.domain.name, f.codomain.name, tuple(f.table))] = f
+    assert len(homs) == 3  # the identities of Z6 and Z12, and Z12 -> Z6
+    for f in homs.values():
+        yield f.domain, f.codomain, list(f.table)
+        for i in range(f.domain.order):
+            for y in range(f.codomain.order):
+                if y != f.table[i]:
+                    table = list(f.table)
+                    table[i] = y
+                    yield f.domain, f.codomain, table
+
+
+def test_row_ring_hom_check_agrees_with_the_oracle():
+    messages = {}
+    for D, C, table in _ring_hom_cases():
+        assert D.add_t is not None and C.add_t is not None
+        want = naive_ring_hom_error(D, C, table)
+        assert _error(lambda: RingHom(D, C, table)) == want, (D, C, table)
+        messages[want] = messages.get(want, 0) + 1
+    assert set(messages) == {None, "hom must send 0 to 0 and 1 to 1", "hom is not additive"}
+    assert messages["hom is not additive"] > 100
+
+
+def test_row_ring_hom_check_agrees_with_the_oracle_on_every_unital_map():
+    """Every map of Z2 x Z3 to itself that fixes 0 and 1.  Among them,
+    f = [0, 2, 1, 0, 4, 0] first fails in row a = (0,1): f(a * a) != f(a)^2
+    at b = a = 1, before f(a + b) != f(a) + f(b) at b = (1,0) = 3, so the
+    product's failure is the one reported."""
+    P = ProductRing(make_zmod(2), make_zmod(3))
+    assert (P.zero, P.one) == (0, 4)
+    messages = {}
+    for rest in product(range(6), repeat=4):
+        table = [0, *rest[:3], 4, rest[3]]
+        want = naive_ring_hom_error(P, P, table)
+        assert _error(lambda: RingHom(P, P, table)) == want, table
+        messages[want] = messages.get(want, 0) + 1
+    assert set(messages) == {None, "hom is not additive", "hom is not multiplicative"}
+    assert naive_ring_hom_error(P, P, [0, 2, 1, 0, 4, 0]) == "hom is not multiplicative"
+    assert _error(lambda: RingHom(P, P, [0, 2, 1, 0, 4, 0])) == "hom is not multiplicative"
+
+
+Z2_X_Z4 = "prod(cyc(Zn(4),2),cyc(Zn(4),4))"  # Z2 x Z4 over Z4
+
+
+def _subsets(M):
+    return (S for k in range(M.order + 1) for S in combinations(range(M.order), k))
+
+
+@pytest.mark.parametrize("spec", ["self(Zn(12))", Z2_X_Z4])
+def test_a_quotient_by_a_trusted_non_submodule_is_refused(spec):
+    """Any subset of M, passed as a trusted submodule: the quotient, and
+    for R over itself the quotient ring, is built exactly when the subset
+    is a submodule (an ideal), and refused otherwise.  A proper subset
+    holding 1 puts 1 in the zero coset, which the ring may refuse first."""
+    M = elaborate_module(parse_module_spec(spec))
+    R = M.ring if M.same_module(M.ring.as_module) else None
+    built = 0
+    for S in _subsets(M):
+        K = Submodule(M, S, _trusted=True)
+        closed = naive_closure_error(M, S) is None
+        assert (_error(lambda: QuotientModule(M, K)) is None) == closed, S
+        built += closed
+        if R is None or len(S) == R.order:
+            continue
+        if R.one in S:
+            with pytest.raises((InvalidConstructionError, InvalidOrderError)):
+                QuotientRing(R, K)
+        else:
+            assert (_error(lambda: QuotientRing(R, K)) is None) == closed, S
+    assert built == len(all_submodules(M).members)
+
+
+def test_a_corrupted_coset_table_is_refused(monkeypatch):
+    """Each quotient of Z12 and (Z2 x Z4) over Z4, and each quotient ring
+    of Z12, with one entry of its coset ranks changed to any other rank up
+    to the number of cosets."""
+    true_ids = encodings.coset_ids
+    Z12 = make_zmod(12)
+    M = elaborate_module(parse_module_spec(Z2_X_Z4))
+    cases = [(QuotientModule, N, K) for N in (Z12.as_module, M) for K in all_submodules(N).proper]
+    cases += [(QuotientRing, Z12, J) for J in all_submodules(Z12.as_module).proper]
+    refused = 0
+    for build, base, K in cases:
+        ids = true_ids(base, K.indices)
+        for i in range(len(ids)):
+            for rank in range(max(ids) + 2):
+                if rank != ids[i]:
+                    bad = ids[:i] + [rank] + ids[i + 1:]
+                    monkeypatch.setattr(encodings, "coset_ids", lambda *args: list(bad))
+                    with pytest.raises(InvalidConstructionError):
+                        build(base, K)
+                    refused += 1
+    assert refused > 500
+
+
+def test_a_carrier_is_built_exactly_when_it_is_closed():
+    for M in (make_zmod(12).as_module, elaborate_module(parse_module_spec(Z2_X_Z4))):
+        for S in _subsets(M):
+            want = naive_closure_error(M, S) is None
+            assert (_error(lambda: SubcarrierModule(M, S)) is None) == want, (M, S)
 
 
 def _additive_span(M, x) -> list[int]:

@@ -1,10 +1,12 @@
 """Lattice layer: submodule enumeration against a power-set brute force,
 multiplicative-set enumeration, decompositions, counterexample search."""
 import math
+import random
 
 import pytest
 from conftest import SWEEP_WIDE
 
+from absorb.constructions import MultiplicativeSet
 from absorb.errors import SizeBoundError
 from absorb.lattice import (
     all_ideals,
@@ -14,7 +16,7 @@ from absorb.lattice import (
     search_counterexample,
 )
 from absorb.modules import CyclicModule, ProductModule, indices_of, span
-from absorb.rings import IdealizationRing, make_zmod
+from absorb.rings import IdealizationRing, ProductRing, make_zmod
 from absorb.specdsl import elaborate_module, parse_module_spec
 
 
@@ -145,6 +147,34 @@ def test_all_multiplicative_sets_are_closed_and_contain_one():
         if all((bits >> R.mul(a, b)) & 1 for a in members for b in members):
             brute.add(tuple(members))
     assert seen == brute
+
+
+def _naive_multiplicative_closure(R, gens) -> tuple:
+    """1 and the generators, closed under products one pair at a time."""
+    seen = {R.one, *gens}
+    frontier = list(seen)
+    while frontier:
+        a = frontier.pop()
+        for b in list(seen):
+            if R.mul(a, b) not in seen:
+                seen.add(R.mul(a, b))
+                frontier.append(R.mul(a, b))
+    return tuple(sorted(seen))
+
+
+def test_multiplicative_sets_fold_in_generators_like_the_pairwise_closure():
+    rng = random.Random(24)
+    Z4 = make_zmod(4)
+    rings = [make_zmod(24), ProductRing(Z4, make_zmod(6)), IdealizationRing(Z4, Z4.as_module)]
+    for R in rings:
+        for _ in range(200):
+            gens = [rng.randrange(R.order) for _ in range(rng.randrange(4))]
+            assert MultiplicativeSet(R, gens).indices == _naive_multiplicative_closure(R, gens)
+    sets = all_multiplicative_sets(make_zmod(24))
+    assert len(sets) == 1550
+    assert [S.indices for S in sets] == sorted(S.indices for S in sets)
+    for S in sets:
+        assert _naive_multiplicative_closure(S.ring, S.indices) == S.indices
 
 
 def test_decomposition_z24():

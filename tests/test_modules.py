@@ -252,8 +252,9 @@ def test_axiom_check_reads_every_cell_of_the_ring_tables():
 
 
 def test_axiom_check_is_exhaustive_on_tabulated_modules(monkeypatch):
-    """Tabulated modules are checked on every triple: building (Z6)^3 and
-    Z60/0, both beyond 60000 triples, draws no random number."""
+    """Tabulated modules are checked without sampling: building (Z6)^3,
+    checked on every triple, or Z60/0, checked by its projection from the
+    tabulated Z60, draws no random number."""
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("the axiom check sampled")

@@ -1,4 +1,6 @@
 """Verification suites and the Z_n classification machinery."""
+import hashlib
+import json
 from math import gcd
 
 import pytest
@@ -141,12 +143,50 @@ def test_suite_catalog_shape():
     assert len(set(SUITE_IDS)) == 16
 
 
+# sha256 of each suite's report, as the sorted-key JSON of the fields that
+# ``absorb verify --format json`` prints for it less the timing and the
+# tool version: any change to a count, a violation, a confirmation or a
+# parameter changes it
+SUITE_DIGESTS = {
+    "eq-equivalence": "70ead1541b3ff1caa5fbfdc6301730547dbb97ff113d57305be211280777419e",
+    "unit2": "0a1e1847981df481149a762a86016bd068fb7a253bc62096c16038e2de7a3e93",
+    "char2": "f9674fdbc4ad38c35ecf10b1ecc831742e6d6e47a54974a0713bdb05ed700c28",
+    "reduced-zero": "e19c352473185b2c8e4ecad75a196aa0f0b7c3f4c981badb40a2531746cc8f29",
+    "vnr": "9895832ae73d51b7e6745ca63f46213ff5bfcf0412f32b87a8167a08861c9af6",
+    "maximal-prime": "c3b51d05d08c4917270d0092b76813b0219ca49d5ba4cc257c74a27bd5783229",
+    "decomposition": "091a5b7256499c0e1309857e370aad4f5bd118a82b1c48f841c13f7c59595277",
+    "principal-ideal": "f5cf6974bd13ef84b24800a6d6660e585bfa396653de96e493c135749e63abd3",
+    "localization": "da2b12dbb571d7e63628cff9adafba2d65e4f66b0cc2ee7a872513977007770b",
+    "epimorphism": "2ea4f333a77a686449d8f8f346491cad057a9af53813c57e4327b138caeba888",
+    "restriction-quotient": "51208b9c88c8d5826ad3c779eb4b72cd97df83883f254853d9cc14b59a6e909f",
+    "intersection": "bc2b997799a237eb04940224969f5ba84ebeb096f6909c5dea890290d7f2eb2d",
+    "chain-union": "e814a0ef42141d3bf2bfe6eddecc0d4f37dd6e4734f6be08985fed3ede0275ec",
+    "product": "e2582e53f1c1505c9f22522339dc0731ecc77138d570be64185d6dff4bcf64c1",
+    "idealization": "794f8b2861cffca3e081c575042ed426e4641bb5ea3d6d347301415674c119a0",
+    "amalgamation": "f7ba8015fdd8c87b74248b0fb8adaf7565e0cdfc517da8cf0960132da5bfcb6d",
+}
+
+
+def _report_digest(report) -> str:
+    doc = {
+        "suite": report.suite_id,
+        "statement": report.statement,
+        "holds": report.passed,
+        "instances_checked": report.instances_checked,
+        "violations": [str(v) for v in report.violations],
+        "confirmations": report.confirmations,
+        "parameters": report.parameters,
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("suite_id", SUITE_IDS)
 def test_suite_passes(suite_id):
     report = run_suite(suite_id)
     assert report.passed, (suite_id, report.violations[:5])
     assert report.instances_checked > 0
     assert report.statement
+    assert _report_digest(report) == SUITE_DIGESTS[suite_id]
 
 
 def test_maximal_prime_suite_confirmation():
