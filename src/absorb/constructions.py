@@ -48,9 +48,11 @@ def _quotient_of(M: FiniteModule, K: Submodule) -> QuotientModule:
 
 
 def quotient_module(M: FiniteModule, K: Submodule):
-    """M/K together with the projection hom."""
+    """M/K together with the projection hom.  Over a tabulated M, the
+    quotient has checked its projection on rows already."""
     Q = _quotient_of(M, K)
-    proj = ModuleHom(M, Q, [Q.project(i) for i in range(M.order)], name="proj")
+    table = [Q.project(i) for i in range(M.order)]
+    proj = ModuleHom(M, Q, table, name="proj", _trusted=M.add_t is not None)
     return Q, proj
 
 

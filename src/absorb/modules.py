@@ -838,9 +838,12 @@ class ModuleHom:
 
     With ``ring_map=None`` both modules must share the acting ring and the
     map is R-linear; otherwise it is semilinear along the given ring hom
-    (map(r.x) = ring_map(r).map(x)), which covers localization maps."""
+    (map(r.x) = ring_map(r).map(x)), which covers localization maps.
+    ``_trusted`` skips the additivity and linearity check, for a map its
+    caller has already checked."""
 
-    def __init__(self, domain, codomain, table, ring_map: RingHom | None = None, name="phi"):
+    def __init__(self, domain, codomain, table, ring_map: RingHom | None = None, name="phi",
+                 *, _trusted: bool = False):
         table = check_hom_entries(table, codomain, "module hom")
         if len(table) != domain.order:
             raise InvalidConstructionError("module hom table has wrong length")
@@ -856,7 +859,9 @@ class ModuleHom:
             scalar = ring_map
         if table[domain.zero] != codomain.zero:
             raise InvalidConstructionError("module hom must send 0 to 0")
-        if domain.act_t is None or codomain.act_t is None:
+        if _trusted:
+            pass  # its caller checked it
+        elif domain.act_t is None or codomain.act_t is None:
             for a in range(domain.order):
                 for b in range(domain.order):
                     if table[domain.add(a, b)] != codomain.add(table[a], table[b]):

@@ -451,6 +451,8 @@ class QuotientRing(CosetCodec, _DerivedRing):
         self.one = self._proj[base.one]
         if self.order < 2:
             raise InvalidOrderError("quotient by the full ring is the zero ring")
+        if self.one == self.zero:  # the zero coset is the modulus
+            raise InvalidConstructionError("a proper subset holding 1 is not an ideal")
         self._finalize()
 
     def _check_derivation(self) -> None:

@@ -194,9 +194,20 @@ def gsdf_zero_zn(n: int):
       with a = b (mod 2) occur.  Swapping u and v changes neither a nor b.
 
     Hence (0) holds iff no such divisor pair fails, which takes tau(n)^2
-    steps.  Otherwise the pairs are walked u >= v in scan order up to the
-    first one in a failing class, and x = n/c: the least positive element
-    of H_c, outside H_a as c != a and outside H_b' as c does not divide b'.
+    steps.  Otherwise the witness is the first pair in a failing class in
+    scan order (u ascending, then v), and x = n/c: the least positive
+    element of H_c, outside H_a as c != a and outside H_b' as c does not
+    divide b'.
+
+    That pair is found difference first.  With d = u-v and s = u+v (so
+    0 <= d <= s and s = d mod 2), the first pair has the least u = (d+s)/2
+    and, for that u, the greatest d.  For each d = 0, 1, ... up to the
+    best u so far, the least s >= d of d's parity whose class pair
+    (gcd(d, n), gcd(s, n)) fails is one ``find`` in a 0/1 mark of the s
+    with a failing class, kept per class of d and split by parity.  The
+    marks cover a window s < w, doubled from 64 up to 2n: every pair with
+    u < w/2 has s < w, so a best pair with u < w/2 is exact.  This takes
+    O(tau(n) w) steps, with w about 4u.
     """
     primes = factorize(n)
     divisors = [1]
@@ -216,13 +227,32 @@ def gsdf_zero_zn(n: int):
                 failing[a, b] = n // c
     if not failing:
         return True, None
-    g = [gcd(t, n) for t in range(n)] * 2  # g[t] = gcd(t, n) for 0 <= t < 2n
-    for u in range(n):
-        for v in range(u + 1):
-            x = failing.get((g[u - v], g[u + v]))
-            if x is not None:
-                return False, (u, v, x)
-    raise AssertionError("a failing divisor class comes from some pair")
+    failing_b = {}  # a -> the b with (a, b) failing
+    for a, b in failing:
+        failing_b.setdefault(a, set()).add(b)
+    w = min(64, 2 * n)
+    while True:
+        g = [gcd(t, n) for t in range(w)]
+        marks = {}  # a -> the marks of the failing s, at even and odd s
+        best, best_d = w, 0  # the least u found, and its greatest d
+        for d in range(min(w, n)):
+            if d > best:
+                break
+            a = g[d]
+            if a not in failing_b:
+                continue
+            if a not in marks:
+                mark = bytes(map(failing_b[a].__contains__, g))
+                marks[a] = mark[0::2], mark[1::2]
+            i = marks[a][d & 1].find(1, d >> 1)  # the least s = 2i + (d & 1) >= d
+            u = i + (d + 1) // 2  # (d + s) / 2
+            if i >= 0 and u <= best:
+                best, best_d = u, d
+        if 2 * best < w:
+            return False, (best, best - best_d, failing[g[best_d], g[2 * best - best_d]])
+        if w == 2 * n:
+            raise AssertionError("a failing divisor class comes from some pair")
+        w = min(2 * w, 2 * n)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from absorb.predicates import (
     _report,
     _sd_scan,
 )
+from absorb.suites import factorize
 
 # the five wide modules of the benchmark's sweep
 SWEEP_WIDE = (
@@ -237,6 +238,37 @@ def naive_gsdf_zero_zn(n: int):
                 x = (bad & -bad).bit_length() - 1
                 return False, (u, v, x)
     return True, None
+
+
+def walk_gsdf_zero_zn(n: int):
+    """``absorb.suites.gsdf_zero_zn`` as it was before its difference-first
+    search: the same divisor-class test, then a walk of the pairs u >= v in
+    scan order up to the first one in a failing class."""
+    primes = factorize(n)
+    divisors = [1]
+    for p, e in primes:
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    failing = {}
+    for b in divisors:
+        full = 1
+        for p, e in primes:
+            if b % p == 0:
+                full *= p**e
+        for a in divisors:
+            if n % 2 == 0 and (a - b) % 2:
+                continue
+            c = gcd(a * b, n)
+            if c != a and full % c:
+                failing[a, b] = n // c
+    if not failing:
+        return True, None
+    g = [gcd(t, n) for t in range(n)] * 2  # g[t] = gcd(t, n) for 0 <= t < 2n
+    for u in range(n):
+        for v in range(u + 1):
+            x = failing.get((g[u - v], g[u + v]))
+            if x is not None:
+                return False, (u, v, x)
+    raise AssertionError("a failing divisor class comes from some pair")
 
 
 def naive_hit_rows(M, target_mask: int) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ import json
 from math import gcd
 
 import pytest
-from conftest import naive_gsdf_zero_zn
+from conftest import naive_gsdf_zero_zn, walk_gsdf_zero_zn
 
 from absorb import suites
 from absorb.errors import UnknownSuiteError
@@ -113,6 +113,29 @@ def test_divisor_class_kernel_decides_large_n_without_a_pair_walk(monkeypatch):
     for n in (10007, 4374, 4096):
         assert gsdf_zero_zn(n) == (True, None), n
 
+
+def test_difference_first_search_finds_the_walks_first_pair():
+    """In Z_448372 = 4 * 197 * 569 the window s < 512 holds (395, 1) but
+    not the first pair (383, 186), at s = 569."""
+    for n in (*range(2, 1201), 24594, 30030, 448372, 720720, 1441440):
+        assert gsdf_zero_zn(n) == walk_gsdf_zero_zn(n), n
+
+
+def test_difference_first_search_takes_fewer_gcds_than_n(monkeypatch):
+    """Z_24594 = 2 * 3 * 4099 fails first at (2051, 2048, 2) and Z_30030 at
+    (4, 1, 2002); the walk took 2n gcds before its first pair."""
+    calls = 0
+
+    def counted_gcd(a, b):
+        nonlocal calls
+        calls += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(suites, "gcd", counted_gcd)
+    for n, witness in ((24594, (2051, 2048, 2)), (30030, (4, 1, 2002))):
+        calls = 0
+        assert gsdf_zero_zn(n) == (False, witness), n
+        assert calls < n, (n, calls)
 
 def test_classify_small():
     result = classify_zn(24)
