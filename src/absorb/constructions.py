@@ -18,6 +18,7 @@ from .rings import (
     IdealizationRing,
     RingHom,
     SubringOnIdempotent,
+    element_index,
 )
 from .modules import (
     FiniteModule,
@@ -29,6 +30,7 @@ from .modules import (
     RingAsModule,
     ScalarRestriction,
     Submodule,
+    _DerivedModule,
     indices_of,
     span,
 )
@@ -105,7 +107,7 @@ class MultiplicativeSet:
         self.indices = (ring.one,)
         for e in elements:
             self.indices = self._closure_with(
-                ring.literal_to_index(e) if not isinstance(e, int) else e
+                ring.literal_to_index(e) if not isinstance(e, int) else element_index(ring, e)
             )
 
     def _closure_with(self, g: int) -> tuple[int, ...]:
@@ -243,9 +245,12 @@ def j_scaled_carrier(J: Submodule, M2: FiniteModule) -> tuple[int, ...]:
     return span(M2, seeds).indices
 
 
-class AmalgamatedModule(AmalgamationCodec, FiniteModule):
+class AmalgamatedModule(AmalgamationCodec, _DerivedModule):
     """M1 join M2 along phi over the amalgamated ring: elements
-    (x1, phi(x1) + y) with y in J M2, acted on componentwise."""
+    (x1, phi(x1) + y) with y in J M2, acted on componentwise.  A carrier of
+    M1 x M2 over R1 x R2 (``base``), with the amalgamated ring's elements
+    as its scalars: phi is semilinear along f and J M2 a submodule, so it
+    is closed, and ``byte_rows`` refuses any entry outside it."""
 
     def __init__(self, A: AmalgamationRing, M1: FiniteModule, M2: FiniteModule,
                  phi: ModuleHom, J: Submodule):
@@ -262,23 +267,10 @@ class AmalgamatedModule(AmalgamationCodec, FiniteModule):
         self.m2 = M2
         self.phi = phi
         self.ring = A
+        self._scalars = A.carrier
         self.name = f"{M1.name} amalg {M2.name}"
-        self._init_amalgam(M1, M2, phi, j_scaled_carrier(J, M2))
+        self._init_amalgam(ProductOverProductRing(M1, M2, A.base), phi, j_scaled_carrier(J, M2))
         self._finalize()
-
-    def add(self, i, j):
-        a1, a2 = self.parts(i)
-        b1, b2 = self.parts(j)
-        return self.pack(self.m1.add(a1, b1), self.m2.add(a2, b2))
-
-    def neg(self, i):
-        a1, a2 = self.parts(i)
-        return self.pack(self.m1.neg(a1), self.m2.neg(a2))
-
-    def act(self, r, x):
-        u, w = self.A.parts(r)
-        a1, a2 = self.parts(x)
-        return self.pack(self.m1.act(u, a1), self.m2.act(w, a2))
 
     @property
     def signature(self):
@@ -316,11 +308,3 @@ def amalg_submodule_n2(AM: AmalgamatedModule, N2: Submodule) -> Submodule:
 
 def restrict_scalars(M: FiniteModule, hom: RingHom) -> ScalarRestriction:
     return ScalarRestriction(M, hom)
-
-
-def restricted_submodule(RM: ScalarRestriction, N: Submodule) -> Submodule:
-    """The same carrier viewed inside the restricted module (valid whenever
-    it stays closed under the smaller scalar action, which it always is)."""
-    if not N.module.same_module(RM.base):
-        raise CrossStructureError("submodule does not live in the base module")
-    return Submodule(RM, N.indices, _trusted=True)

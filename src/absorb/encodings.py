@@ -2,12 +2,14 @@
 
 Each class here owns one way of numbering the elements of a construction
 built from other structures, for rings and modules alike: how an index is
-packed and unpacked, described, and read from a literal.  The two codecs
-whose elements are base elements also compose their tables from the base's
-rows and check what their derivation can break.  The arithmetic of each
-construction stays in its own class."""
+packed and unpacked, described, and read from a literal.  A product reads
+its tables off its factors' rows (``ProductCodec``).  The codecs
+whose elements are base elements compose their tables from the base's rows,
+check what their derivation can break, and give the one set of element
+operations that a derived structure over an untabulated base uses."""
 from __future__ import annotations
 
+from itertools import product
 from operator import itemgetter
 
 from .errors import InvalidConstructionError
@@ -47,33 +49,36 @@ class PairCodec:
         )
 
 
-class AmalgamationCodec(PairCodec):
-    """Pairs (u, f(u) + j) with j in a subgroup ``offsets`` of the second
-    factor, at index u * |offsets| + rank of j in the sorted ``offsets``."""
+class ProductCodec(PairCodec):
+    """The product of two checked factors, which needs no check of its own.
+    With both factors' tables, each row is a pair of factor rows: the add
+    rows, the rows that ``_second_pairs()`` pairs for * or the action, and
+    the negation row."""
 
-    def _init_amalgam(self, first, second, f, offsets) -> None:
-        self._f = f
-        self.offsets = tuple(offsets)
-        self._rank = {j: k for k, j in enumerate(self.offsets)}
-        self._first = first
-        self._second = second
-        self._described = {}
-        self.order = first.order * len(self.offsets)
-        self.zero = self.pack(first.zero, second.zero)
+    def _op_rows(self):
+        first, second = self._first, self._second
+        if first.add_t is None or second.add_t is None:
+            return super()._op_rows()
+        return (
+            self.pair_rows(product(first.add_t, second.add_t)),
+            self.pair_rows(self._second_pairs()),
+            self.pair_rows([(first.neg_t, second.neg_t)])[0],
+        )
 
-    def pack(self, u: int, w: int) -> int:
-        """Index of the pair (u, w), w being the whole second component."""
-        k = self._rank.get(self._second.sub(w, self._f(u)))
-        if k is None:
-            raise InvalidConstructionError(
-                f"{self.name}: ({self._first.describe(u)},{self._second.describe(w)})"
-                " is not in the amalgamation carrier"
-            )
-        return u * len(self.offsets) + k
+    def pair_rows(self, pairs) -> list[bytes]:
+        """For each (f, g) in ``pairs``, bytes rows of the first and of the
+        second factor, the row of pairs whose entry at (x, y) is f[x] *
+        |second| + g[y]: g translated through s * |second| + y for each
+        entry s of f, one join per row.  Needs at most 256 pairs."""
+        nb = self._ro
+        shift = [bytes(range(s * nb, s * nb + nb)).ljust(256, b"\0") for s in range(256 // nb)]
+        join, at = b"".join, shift.__getitem__
+        return [join(map(g.translate, map(at, f))) for f, g in pairs]
 
-    def parts(self, i: int) -> tuple[int, int]:
-        u, k = divmod(i, len(self.offsets))
-        return u, self._second.add(self._f(u), self.offsets[k])
+    def _check_axioms(self) -> None:
+        """Nothing: a product of checked rings or modules is one.  The full
+        kernel, and on products too big for tables the componentwise
+        formula, run in ``tests/test_derived_tables.py``."""
 
 
 def coset_ids(base, kernel) -> list[int]:
@@ -116,10 +121,19 @@ def row_hom_misses(f, rows, images):
 
 
 class _BaseElements:
-    """What the two codecs whose elements are elements of ``base`` share:
-    ``_at`` lists those base elements in own-index order,
-    ``_own_index()`` gives the own index of every base element, and
-    ``_check_derivation()`` checks what a tabulated base leaves open."""
+    """What the codecs whose elements are elements of ``base`` share:
+    ``_at`` lists those base elements in own-index order, ``_own(b)`` is
+    the own index of base element b, ``_own_index()`` that of every base
+    element, and ``_check_derivation()`` checks what a tabulated base
+    leaves open.  Each element operation is the own index of the base's
+    operation at ``_at``; a structure with tables replaces them by lookups,
+    so they run only over a base without tables."""
+
+    def add(self, i: int, j: int) -> int:
+        return self._own(self.base.add(self._at[i], self._at[j]))
+
+    def neg(self, i: int) -> int:
+        return self._own(self.base.neg(self._at[i]))
 
     def compose(self, rows) -> list[bytes]:
         """Bytes rows of the base, indexed by base elements, as rows of this
@@ -181,6 +195,8 @@ class CosetCodec(_BaseElements):
     def project(self, base_index: int) -> int:
         return self._proj[base_index]
 
+    _own = project
+
     def representative(self, i: int) -> int:
         return self._reps[i]
 
@@ -192,18 +208,18 @@ class CosetCodec(_BaseElements):
 
 
 class CarrierCodec(_BaseElements):
-    """A subset of ``base`` whose k-th element is its k-th smallest base
-    index."""
+    """A subset of ``base`` whose k-th element is the k-th entry of the
+    distinct base elements ``carrier`` it is built on."""
 
     def _init_carrier(self, base, carrier) -> None:
         self.base = base
-        self.carrier = self._at = sorted(set(carrier))
-        if self.carrier and not 0 <= self.carrier[0] <= self.carrier[-1] < base.order:
+        self.carrier = self._at = carrier
+        if carrier and not (0 <= min(carrier) and max(carrier) < base.order):
             raise InvalidConstructionError(f"carrier is not a subset of {base.name}")
-        self._pos = {c: k for k, c in enumerate(self.carrier)}
+        self._pos = {c: k for k, c in enumerate(carrier)}
         if base.zero not in self._pos:
             raise InvalidConstructionError(f"carrier does not contain the zero of {base.name}")
-        self.order = len(self.carrier)
+        self.order = len(carrier)
         self.zero = self._pos[base.zero]
 
     def _own_index(self) -> bytearray:
@@ -225,6 +241,8 @@ class CarrierCodec(_BaseElements):
             raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
         return k
 
+    _own = from_base
+
     def to_base(self, i: int) -> int:
         return self.carrier[i]
 
@@ -233,3 +251,33 @@ class CarrierCodec(_BaseElements):
 
     def literal_to_index(self, lit) -> int:
         return self.from_base(self.base.literal_to_index(lit))
+
+
+class AmalgamationCodec(CarrierCodec):
+    """The pairs (u, f(u) + j) with j in a subgroup ``offsets`` of the
+    second factor, as a carrier of the product ``base``, at own index u *
+    |offsets| + rank of j in the sorted ``offsets``."""
+
+    def _init_amalgam(self, base, f, offsets) -> None:
+        self.offsets = tuple(offsets)
+        add, pack = base._second.add, base.pack
+        at = [pack(u, add(f(u), j)) for u in range(base._first.order) for j in self.offsets]
+        self._init_carrier(base, at)
+
+    def pack(self, u: int, w: int) -> int:
+        """Own index of the pair (u, w), w being the whole second component."""
+        b = self.base.pack(u, w)
+        k = self._pos.get(b)
+        if k is None:
+            raise InvalidConstructionError(
+                f"{self.name}: {self.base.describe(b)} is not in the amalgamation carrier"
+            )
+        return k
+
+    def parts(self, i: int) -> tuple[int, int]:
+        return self.base.parts(self._at[i])
+
+    def literal_to_index(self, lit) -> int:
+        if not (isinstance(lit, tuple) and len(lit) == 2):
+            raise InvalidConstructionError(f"{self.name}: element literal must be a pair")
+        return self.pack(*self.base.parts(self.base.literal_to_index(lit)))

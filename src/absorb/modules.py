@@ -8,9 +8,9 @@ Submodule carriers are kept both as sorted index tuples and as bit masks
 from __future__ import annotations
 
 import random
-from itertools import repeat
+from itertools import product, repeat
 
-from .encodings import CarrierCodec, CosetCodec, PairCodec, row_hom_misses
+from .encodings import CarrierCodec, CosetCodec, ProductCodec, row_hom_misses
 from .errors import (
     CrossStructureError,
     InvalidConstructionError,
@@ -29,6 +29,7 @@ from .rings import (
     ZMod,
     byte_rows,
     check_hom_entries,
+    element_index,
 )
 
 ACTION_SAMPLE_COUNT = 1000
@@ -381,7 +382,7 @@ class CyclicModule(FiniteModule):
         return ("cyclic", self.ring.signature, self.d)
 
 
-class ProductModule(PairCodec, FiniteModule):
+class ProductModule(ProductCodec, FiniteModule):
     """M1 x M2 over one common ring, diagonal action."""
 
     def __init__(self, m1: FiniteModule, m2: FiniteModule):
@@ -410,6 +411,10 @@ class ProductModule(PairCodec, FiniteModule):
         a, b = divmod(x, self._ro)
         return self.m1.act(r, a) * self._ro + self.m2.act(r, b)
 
+    def _second_pairs(self):
+        """r acts on both factors."""
+        return zip(self.m1.act_t, self.m2.act_t)
+
     @property
     def signature(self):
         return ("prodmod", self.m1.signature, self.m2.signature)
@@ -432,17 +437,26 @@ class ProductOverProductRing(ProductModule):
         a, b = divmod(x, self._ro)
         return self.m1.act(r1, a) * self._ro + self.m2.act(r2, b)
 
+    def _second_pairs(self):
+        """(r1, r2) acts by r1 on the first factor and r2 on the second."""
+        return product(self.m1.act_t, self.m2.act_t)
+
     @property
     def signature(self):
         return ("prodmod2", self.m1.signature, self.m2.signature)
 
 
 class _DerivedModule(FiniteModule):
-    """A module whose elements are elements of ``base``, cosets or a carrier:
-    with the base's tables, its own are the base's rows composed by its
-    codec, and otherwise made one cell at a time."""
+    """A module whose elements are elements of ``base``, cosets or a carrier,
+    and whose scalars act as the base-ring elements ``_scalars``: with the
+    base's tables, its own are the base's rows composed by its codec, and
+    otherwise made one cell at a time."""
 
     base: FiniteModule
+    _scalars: "range | list[int]"
+
+    def act(self, r, x):
+        return self._own(self.base.act(self._scalars[r], self._at[x]))
 
     def _op_rows(self):
         base = self.base
@@ -450,12 +464,9 @@ class _DerivedModule(FiniteModule):
             return super()._op_rows()
         return (
             self.compose(map(base.add_t.__getitem__, self._at)),
-            self.compose(self._base_act_rows()),
+            self.compose(map(base.act_t.__getitem__, self._scalars)),
             self.compose([base.neg_t])[0],
         )
-
-    def _base_act_rows(self):
-        return self.base.act_t
 
 
 class QuotientModule(CosetCodec, _DerivedModule):
@@ -465,6 +476,7 @@ class QuotientModule(CosetCodec, _DerivedModule):
         if not kernel.module.same_module(base):
             raise CrossStructureError("kernel is not a submodule of the base module")
         self.ring = base.ring
+        self._scalars = range(base.ring.order)
         self._init_cosets(base, kernel.indices)
         self.name = f"{base.name}/K"
         self._finalize()
@@ -478,15 +490,6 @@ class QuotientModule(CosetCodec, _DerivedModule):
             ("the action", base.act_t, self.act_t),
         )
 
-    def add(self, i, j):
-        return self._proj[self.base.add(self._reps[i], self._reps[j])]
-
-    def neg(self, i):
-        return self._proj[self.base.neg(self._reps[i])]
-
-    def act(self, r, x):
-        return self._proj[self.base.act(r, self._reps[x])]
-
     @property
     def signature(self):
         return ("quotmod", self.base.signature, self._kernel)
@@ -498,49 +501,34 @@ class SubcarrierModule(CarrierCodec, _DerivedModule):
 
     def __init__(self, base: FiniteModule, carrier, name=None):
         self.ring = base.ring
-        self._init_carrier(base, carrier)
+        self._scalars = range(base.ring.order)
+        self._init_carrier(base, sorted(set(carrier)))
         self.name = name or f"sub({base.name},{self.order})"
         self._finalize()
-
-    def add(self, i, j):
-        return self.from_base(self.base.add(self.carrier[i], self.carrier[j]))
-
-    def neg(self, i):
-        return self.from_base(self.base.neg(self.carrier[i]))
-
-    def act(self, r, x):
-        return self.from_base(self.base.act(r, self.carrier[x]))
 
     @property
     def signature(self):
         return ("subcarrier", self.base.signature, tuple(self.carrier))
 
 
-class ScalarRestriction(FiniteModule):
-    """An R2-module viewed as an R1-module via a hom f: R1 -> R2; shares the
-    base module's element indices."""
+class ScalarRestriction(CarrierCodec, _DerivedModule):
+    """An R2-module viewed as an R1-module via a hom f: R1 -> R2, r.x =
+    f(r)x: the carrier of every base element, which keeps the base's
+    element indices, with the act rows of the base gathered at f(r)."""
 
     def __init__(self, base: FiniteModule, hom: RingHom):
         if not hom.codomain.same_ring(base.ring):
             raise CrossStructureError("hom codomain must be the module's ring")
-        self.base = base
         self.hom = hom
         self.ring = hom.domain
-        self.order = base.order
+        self._scalars = hom.table
+        self._init_carrier(base, range(base.order))
         self.name = f"{base.name} via {hom.name}"
-        self.zero = base.zero
-        self.add = base.add
-        self.neg = base.neg
         self._finalize()
 
-    def act(self, r, x):
-        return self.base.act(self.hom(r), x)
-
-    def describe(self, x):
-        return self.base.describe(x)
-
-    def literal_to_index(self, lit):
-        return self.base.literal_to_index(lit)
+    def _check_derivation(self) -> None:
+        """Nothing: f is a ring hom, which ``RingHom`` checked, so r.x =
+        f(r)x makes the R2-module an R1-module."""
 
     @property
     def signature(self):
@@ -557,15 +545,10 @@ class RestrictedModule(SubcarrierModule):
             raise CrossStructureError("idempotent comes from a different ring")
         e = subring.e
         self.ring = subring
-        self._init_carrier(base, {base.act(e, x) for x in range(base.order)})
+        self._scalars = subring.carrier
+        self._init_carrier(base, sorted({base.act(e, x) for x in range(base.order)}))
         self.name = f"{base.ring.describe(e)}*{base.name}"
         self._finalize()
-
-    def act(self, r, x):
-        return self.from_base(self.base.act(self.ring.carrier[r], self.carrier[x]))
-
-    def _base_act_rows(self):
-        return map(self.base.act_t.__getitem__, self.ring.carrier)
 
     @property
     def signature(self):
@@ -725,7 +708,7 @@ def span(M: FiniteModule, gens) -> Submodule:
                 raise CrossStructureError("generator from a different module")
             idxs.append(g.index)
         else:
-            idxs.append(int(g))
+            idxs.append(element_index(M, g))
     return Submodule(M, indices_of(span_mask(M, idxs)), _trusted=True)
 
 
@@ -738,7 +721,7 @@ def _as_modelt(M: FiniteModule, x) -> int:
         if not x.module.same_module(M):
             raise CrossStructureError("element from a different module")
         return x.index
-    return int(x)
+    return element_index(M, x)
 
 
 def colon_ideal(N: Submodule, x) -> Submodule:
@@ -758,7 +741,7 @@ def annihilator(x: ModElt) -> Submodule:
 def colon_submodule(N: Submodule, r) -> Submodule:
     """(N :_M r) = {x in M : r.x in N}."""
     M = N.module
-    ri = r.index if isinstance(r, RingElt) else int(r)
+    ri = r.index if isinstance(r, RingElt) else element_index(M.ring, r)
     if isinstance(r, RingElt) and not r.ring.same_ring(M.ring):
         raise CrossStructureError("scalar from a different ring")
     nmask = N.mask

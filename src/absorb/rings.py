@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd
 
 from .encodings import (
@@ -17,6 +17,7 @@ from .encodings import (
     CarrierCodec,
     CosetCodec,
     PairCodec,
+    ProductCodec,
     coset_ids,
     row_hom_misses,
 )
@@ -42,14 +43,24 @@ _RING_WORDING = {
 
 def byte_rows(rows, n: int, name: str) -> list[bytes]:
     """The table ``rows`` (iterables of element indices) as bytes rows,
-    every entry checked, once, to be an index 0 .. n-1."""
+    every entry checked, once, to be an index 0 .. n-1: deleting those
+    indices from all rows at once must leave nothing."""
     try:
         table = [bytes(row) for row in rows]
     except ValueError:  # an entry outside 0 .. 255
         table = None
-    if table is None or max(map(max, table)) >= n:
+    if table is None or b"".join(table).translate(None, bytes(range(n))):
         raise InvalidConstructionError(f"{name}: an operation leaves its carrier")
     return table
+
+
+def element_index(S, x) -> int:
+    """``x`` as an element index of the ring or module ``S``, refused
+    unless 0 <= x < |S|."""
+    i = int(x)
+    if not 0 <= i < S.order:
+        raise InvalidConstructionError(f"{x!r} is not an element of {S.name}")
+    return i
 
 
 def check_hom_entries(table, codomain, what: str) -> list[int]:
@@ -388,7 +399,7 @@ class ZMod(FiniteRing):
         return ("zmod", self.n)
 
 
-class ProductRing(PairCodec, FiniteRing):
+class ProductRing(ProductCodec, FiniteRing):
     """Componentwise product; index = left * |right| + right."""
 
     def __init__(self, left: FiniteRing, right: FiniteRing):
@@ -413,6 +424,9 @@ class ProductRing(PairCodec, FiniteRing):
         a, b = divmod(i, self._ro)
         return self.left.neg(a) * self._ro + self.right.neg(b)
 
+    def _second_pairs(self):
+        return product(self.left.mul_t, self.right.mul_t)
+
     @property
     def signature(self):
         return ("product", self.left.signature, self.right.signature)
@@ -424,6 +438,9 @@ class _DerivedRing(FiniteRing):
     codec, and otherwise made one cell at a time."""
 
     base: FiniteRing
+
+    def mul(self, i, j):
+        return self._own(self.base.mul(self._at[i], self._at[j]))
 
     def _op_rows(self):
         base = self.base
@@ -464,15 +481,6 @@ class QuotientRing(CosetCodec, _DerivedRing):
             ("*", base.mul_t, map(self.mul_t.__getitem__, self._proj)),
         )
 
-    def add(self, i, j):
-        return self._proj[self.base.add(self._reps[i], self._reps[j])]
-
-    def mul(self, i, j):
-        return self._proj[self.base.mul(self._reps[i], self._reps[j])]
-
-    def neg(self, i):
-        return self._proj[self.base.neg(self._reps[i])]
-
     @property
     def signature(self):
         return ("quotient", self.base.signature, self._kernel)
@@ -482,28 +490,16 @@ class SubringOnIdempotent(CarrierCodec, _DerivedRing):
     """The ring e*base for an idempotent e, with identity e."""
 
     def __init__(self, base: FiniteRing, e: int):
+        e = element_index(base, e)
         if base.mul(e, e) != e:
             raise InvalidConstructionError("subring carrier needs an idempotent element")
         if e == base.zero:
             raise InvalidOrderError("idempotent 0 gives the zero ring")
         self.e = e
-        self._init_carrier(base, {base.mul(e, i) for i in range(base.order)})
+        self._init_carrier(base, sorted({base.mul(e, i) for i in range(base.order)}))
         self.name = f"{base.describe(e)}*{base.name}"
         self.one = self._pos[e]
         self._finalize()
-
-    def from_base(self, base_index: int) -> int:
-        """Index of e*x for a base-ring index x."""
-        return self._pos[self.base.mul(self.e, base_index)]
-
-    def add(self, i, j):
-        return self._pos[self.base.add(self.carrier[i], self.carrier[j])]
-
-    def mul(self, i, j):
-        return self._pos[self.base.mul(self.carrier[i], self.carrier[j])]
-
-    def neg(self, i):
-        return self._pos[self.base.neg(self.carrier[i])]
 
     @property
     def signature(self):
@@ -549,8 +545,10 @@ class IdealizationRing(PairCodec, FiniteRing):
         return ("idealization", self.base.signature, self.module.signature)
 
 
-class AmalgamationRing(AmalgamationCodec, FiniteRing):
-    """Subring {(u, f(u)+j) : u in R1, j in J} of R1 x R2."""
+class AmalgamationRing(AmalgamationCodec, _DerivedRing):
+    """Subring {(u, f(u)+j) : u in R1, j in J} of R1 x R2, a carrier of the
+    product ring ``base``: f is a ring hom and J an ideal, so it is closed,
+    and ``byte_rows`` refuses any entry outside it."""
 
     def __init__(self, r1: FiniteRing, r2: FiniteRing, hom: "RingHom", j_ideal):
         if not hom.domain.same_ring(r1) or not hom.codomain.same_ring(r2):
@@ -563,23 +561,9 @@ class AmalgamationRing(AmalgamationCodec, FiniteRing):
         self.r2 = r2
         self.hom = hom
         self.name = f"{r1.name}|><|{r2.name}"
-        self._init_amalgam(r1, r2, hom, j_ideal.indices)
+        self._init_amalgam(ProductRing(r1, r2), hom, j_ideal.indices)
         self.one = self.pack(r1.one, hom(r1.one))
         self._finalize()
-
-    def add(self, i, j):
-        u1, w1 = self.parts(i)
-        u2, w2 = self.parts(j)
-        return self.pack(self.r1.add(u1, u2), self.r2.add(w1, w2))
-
-    def mul(self, i, j):
-        u1, w1 = self.parts(i)
-        u2, w2 = self.parts(j)
-        return self.pack(self.r1.mul(u1, u2), self.r2.mul(w1, w2))
-
-    def neg(self, i):
-        u, w = self.parts(i)
-        return self.pack(self.r1.neg(u), self.r2.neg(w))
 
     @property
     def signature(self):

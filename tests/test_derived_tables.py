@@ -1,11 +1,17 @@
-"""Quotient and carrier structures compose their tables from their base's
-rows, and homs and submodule closure are checked a row at a time: each
-against its per-cell definition or its element-loop oracle, on every
-quotient and carrier of the suites' family and the sweep's wide modules.
+"""Every library structure whose validity follows from parts already
+checked composes its tables from those parts' rows: products from their
+factors', quotients, carriers and amalgamations from their base's, and a
+scalar restriction from its base's rows gathered at f(r).  Homs and
+submodule closure are checked a row at a time.  Each is tested here
+against its per-cell definition or its element-loop oracle, on every such
+structure of the suites' family, the sweep's wide modules and the
+reductions Z_a -> Z_b with b | a <= 60.
 
-Over a tabulated base, construction checks a quotient by its projection
-and a carrier by its closure alone; the full axiom kernel that these
-imply runs here instead, on every derived structure the file builds."""
+Construction checks a product nothing, a quotient by its projection, a
+carrier (an amalgamation among them) by its closure and a scalar
+restriction by its ``RingHom``; the full axiom kernel that these imply runs
+here instead, on every composed structure the file builds, and products
+too big for tables are compared with the componentwise formula."""
 import functools
 import random
 from itertools import combinations, product, repeat
@@ -14,7 +20,7 @@ import pytest
 from conftest import SWEEP_WIDE, naive_closure_error, naive_hom_error, naive_ring_hom_error
 
 from absorb import encodings, modules
-from absorb.constructions import quotient_module
+from absorb.constructions import AmalgamatedModule, quotient_module
 from absorb.encodings import row_hom_misses
 from absorb.errors import InvalidConstructionError
 from absorb.lattice import all_submodules
@@ -23,13 +29,18 @@ from absorb.modules import (
     FiniteModule,
     ModuleHom,
     ProductModule,
+    ProductOverProductRing,
     QuotientModule,
     RestrictedModule,
+    RingAsModule,
+    ScalarRestriction,
     SubcarrierModule,
     Submodule,
     span,
+    zero_submodule,
 )
 from absorb.rings import (
+    AmalgamationRing,
     FiniteRing,
     IdealizationRing,
     ProductRing,
@@ -37,35 +48,90 @@ from absorb.rings import (
     RingHom,
     SubringOnIdempotent,
     ZMod,
+    identity_hom,
     make_zmod,
+    reduction_hom,
 )
 from absorb.specdsl import elaborate_module, parse_module_spec
 from absorb.suites import default_family, zn_family
 
 
 DERIVED = (QuotientModule, SubcarrierModule, RestrictedModule, QuotientRing, SubringOnIdempotent)
+COMPOSED = (
+    ProductRing,
+    ProductModule,
+    ProductOverProductRing,
+    AmalgamationRing,
+    AmalgamatedModule,
+    ScalarRestriction,
+)
 
 
 def _family():
     return list(default_family()) + [elaborate_module(parse_module_spec(s)) for s in SWEEP_WIDE]
 
 
+def _componentwise(P):
+    """+, then * or the action, then - of the product P, by their
+    componentwise definitions over its factors' element operations."""
+    ring = isinstance(P, FiniteRing)
+    f, g = (P.left, P.right) if ring else (P.m1, P.m2)
+    f2, g2 = (f.mul, g.mul) if ring else (f.act, g.act)
+    if ring:
+        scalar = P.parts
+    elif isinstance(P, ProductOverProductRing):
+        scalar = P.ring.parts
+    else:
+        scalar = lambda r: (r, r)  # noqa: E731
+
+    def add(i, j):
+        (a, b), (c, d) = P.parts(i), P.parts(j)
+        return P.pack(f.add(a, c), g.add(b, d))
+
+    def second(r, j):
+        (r1, r2), (c, d) = scalar(r), P.parts(j)
+        return P.pack(f2(r1, c), g2(r2, d))
+
+    def neg(i):
+        a, b = P.parts(i)
+        return P.pack(f.neg(a), g.neg(b))
+
+    return add, second, neg
+
+
 def _per_cell_tables(S):
-    """S's tables by their definitions: ``own[base.op(a, b)]`` over the base
-    elements a, b that S's elements stand for."""
+    """S's tables by their definitions: for a product the componentwise
+    formula, and otherwise ``own[base.op(a, b)]`` over the base elements a,
+    b that S's elements stand for."""
+    if isinstance(S, (ProductRing, ProductModule)):
+        add, second, neg = _componentwise(S)
+        cols = range(S.order)
+        scalars = cols if isinstance(S, FiniteRing) else range(S.ring.order)
+        return (
+            [bytes(map(add, repeat(i), cols)) for i in cols],
+            [bytes(map(second, repeat(r), cols)) for r in scalars],
+            bytes(map(neg, cols)),
+        )
     base = S.base
     if isinstance(S, (QuotientModule, QuotientRing)):
         at, own = [S.representative(i) for i in range(S.order)], S.project
     else:
-        at, own = S.carrier, {c: k for k, c in enumerate(S.carrier)}.__getitem__
+        at = S.carrier
+        if isinstance(S, (AmalgamationRing, AmalgamatedModule)):  # u * |J| + rank of j
+            ring = isinstance(S, FiniteRing)
+            first, f, add = (S.r1, S.hom, S.r2.add) if ring else (S.m1, S.phi, S.m2.add)
+            at = [base.pack(u, add(f(u), j)) for u in range(first.order) for j in S.offsets]
+        own = {c: k for k, c in enumerate(at)}.__getitem__
 
     def rows(op, firsts):
         return [bytes(map(own, map(op, repeat(a), at))) for a in firsts]
 
     if isinstance(S, FiniteRing):
         second = rows(base.mul, at)
-    elif isinstance(S, RestrictedModule):
+    elif isinstance(S, (RestrictedModule, AmalgamatedModule)):
         second = rows(base.act, S.ring.carrier)
+    elif isinstance(S, ScalarRestriction):
+        second = rows(base.act, S.hom.table)
     else:
         second = rows(base.act, range(S.ring.order))
     return rows(base.add, at), second, bytes(map(own, map(base.neg, at)))
@@ -111,12 +177,55 @@ def _derived_structures() -> tuple:
     return tuple(structures)
 
 
+def _products(S):
+    """The products among S, its ring and their factors, nested ones
+    included, and an amalgamated module's product base."""
+    if isinstance(S, RingAsModule):
+        yield from _products(S.ring)
+    elif isinstance(S, AmalgamatedModule):
+        yield from _products(S.base)
+    elif isinstance(S, ProductRing):
+        yield S
+        yield from _products(S.left)
+        yield from _products(S.right)
+    elif isinstance(S, ProductModule):
+        yield S
+        yield from _products(S.m1)
+        yield from _products(S.m2)
+        yield from _products(S.ring)
+
+
+@functools.lru_cache(maxsize=None)
+def _composed_structures() -> tuple:
+    """Every product of the family and of the sweep's wide modules, nested
+    factors and the amalgamations' products included; the 14 amalgamation
+    rings and modules of ``default_family()``; and Z_b as a Z_a-module
+    along every reduction, b | a <= 60."""
+    products = {id(P): P for M in _family() for P in _products(M)}
+    structures = list(products.values())
+    for AM in default_family():
+        if isinstance(AM, AmalgamatedModule):
+            structures += [AM.ring, AM]
+    for a in range(2, 61):
+        for b in range(2, a + 1):
+            if a % b == 0:
+                Za, Zb = make_zmod(a), make_zmod(b)
+                structures.append(ScalarRestriction(Zb.as_module, reduction_hom(Za, Zb)))
+    return tuple(structures)
+
+
 def test_composed_tables_equal_their_per_cell_definitions():
-    counts = dict.fromkeys(DERIVED, 0)
-    for S in _derived_structures():
+    counts = dict.fromkeys(DERIVED + COMPOSED, 0)
+    for S in _derived_structures() + _composed_structures():
         assert _tables(S) == _per_cell_tables(S), S
         counts[type(S)] += 1
-    assert min(counts.values()) > 100, counts
+    assert min(counts[C] for C in DERIVED) > 100, counts
+    assert counts[AmalgamationRing] == counts[AmalgamatedModule] == 14, counts
+    # Z12 x Z12 and the 14 amalgamations' products; the 66 products of
+    # ``product_family(12)`` and the sweep's 11, nested factors included
+    assert counts[ProductRing] == 15 and counts[ProductOverProductRing] == 14, counts
+    assert counts[ProductModule] == 77, counts
+    assert counts[ScalarRestriction] == sum(a % b == 0 for a in range(2, 61) for b in range(2, a + 1))
 
 
 def test_every_derived_structure_passes_the_full_axiom_kernel():
@@ -124,7 +233,7 @@ def test_every_derived_structure_passes_the_full_axiom_kernel():
     its ring's tables, so structures that agree on all of these, as a
     quotient and a carrier of Z_n of one order do, are checked once."""
     checked = set()
-    for S in _derived_structures():
+    for S in _derived_structures() + _composed_structures():
         ring = S.one if isinstance(S, FiniteRing) else S.ring.signature
         key = (ring, *map(b"".join, _tables(S)[:2]), S.neg_t, S.zero)
         if key not in checked:
@@ -140,10 +249,79 @@ def test_structures_over_an_untabulated_base_tabulate_per_cell():
         assert S.act_t is not None and _tables(S) == _per_cell_tables(S)
 
 
+class _ZnWithoutTables(ZMod):
+    """Z_n with its arithmetic and no tables."""
+
+    add_t = mul_t = neg_t = None
+
+
+def test_compositions_over_untabulated_parts_tabulate_per_cell():
+    """Products and a scalar restriction over Z6 without tables, and the
+    amalgamation of Z16 with itself along J = 0, whose base Z16 x Z16 over
+    Z16 x Z16 has too many cells for tables: each still fits the table
+    bound and tabulates one cell at a time."""
+    U, Z2 = _ZnWithoutTables(6), make_zmod(2)
+    amalgam = elaborate_module(parse_module_spec("amalgm(self(Zn(16)),self(Zn(16)),id,zero)"))
+    assert U.as_module.act_t is None and amalgam.base.act_t is None
+    for S in (
+        ProductRing(U, Z2),
+        ProductModule(U.as_module, make_zmod(6).as_module),
+        ProductOverProductRing(U.as_module, Z2.as_module, ProductRing(U, Z2)),
+        ScalarRestriction(U.as_module, identity_hom(U)),
+        amalgam,
+    ):
+        assert S.add_t is not None and _tables(S) == _per_cell_tables(S), S
+    _assert_axioms_hold(amalgam)
+
+
+def test_untabulated_products_follow_the_componentwise_formula():
+    """Products too big for tables run no check, sampled or other: their
+    operations agree with the componentwise formula on every 97th row and
+    the last."""
+    Z60, Z300, Z2 = make_zmod(60), make_zmod(300), make_zmod(2)
+    P300 = ProductRing(Z300, Z2)
+    products = (
+        elaborate_module(parse_module_spec("self(prod(Zn(60),Zn(60)))")).ring,
+        P300,
+        ProductModule(Z60.as_module, Z60.as_module),
+        ProductOverProductRing(Z300.as_module, Z2.as_module, P300),
+    )
+    for P in products:
+        assert P.add_t is None
+        add, second, neg = _componentwise(P)
+        op, nr = (P.mul, P.order) if isinstance(P, FiniteRing) else (P.act, P.ring.order)
+        cols = range(P.order)
+        for i in (*range(0, P.order, 97), P.order - 1):
+            assert list(map(P.add, repeat(i), cols)) == list(map(add, repeat(i), cols)), (P, i)
+        for r in (*range(0, nr, 97), nr - 1):
+            assert list(map(op, repeat(r), cols)) == list(map(second, repeat(r), cols)), (P, r)
+        assert list(map(P.neg, cols)) == list(map(neg, cols)), P
+
+
+def _compositions(Z12, Z6, C4):
+    """One of each product class, both amalgamation classes and a scalar
+    restriction, built on the tabulated Z12, Z6 and C4 = Z4 over Z12."""
+    M12, M6 = Z12.as_module, Z6.as_module
+    red = reduction_hom(Z12, Z6)
+    J = span(M6, [2])
+    A = AmalgamationRing(Z12, Z6, red, J)
+    phi = ModuleHom(M12, M6, red.table, ring_map=red)
+    return (
+        ProductRing(Z12, Z6),
+        ProductModule(M12, C4),
+        ProductOverProductRing(C4, M6, ProductRing(Z12, Z6)),
+        A,
+        AmalgamatedModule(A, M12, M6, phi, J),
+        ScalarRestriction(M6, red),
+    )
+
+
 def test_tabulated_bases_are_never_read_per_cell(monkeypatch):
     def per_cell(self):
         raise AssertionError("tabulated one cell at a time")
 
+    Z12, Z6 = make_zmod(12), make_zmod(6)
+    C4 = CyclicModule(Z12, 4)
     monkeypatch.setattr(FiniteModule, "_op_rows", per_cell)
     monkeypatch.setattr(FiniteRing, "_op_rows", per_cell)
     R = make_zmod(60)
@@ -153,15 +331,22 @@ def test_tabulated_bases_are_never_read_per_cell(monkeypatch):
     SubcarrierModule(M, K.indices)
     QuotientRing(R, K)
     RestrictedModule(M, SubringOnIdempotent(R, 21))
+    assert all(S.add_t is not None for S in _compositions(Z12, Z6, C4))
+    # no base: the per-cell rows are their only ones
     with pytest.raises(AssertionError, match="one cell at a time"):
-        CyclicModule(R, 6)  # no base: the per-cell rows are its only ones
+        CyclicModule(R, 6)
+    with pytest.raises(AssertionError, match="one cell at a time"):
+        IdealizationRing(Z6, Z6.as_module)
 
 
 def test_derived_structures_over_a_tabulated_base_skip_the_axiom_kernel(monkeypatch):
-    def kernel(self):
+    def kernel(*args):
         raise AssertionError("the axiom kernel ran")
 
+    Z12, Z6 = make_zmod(12), make_zmod(6)
+    C4 = CyclicModule(Z12, 4)
     monkeypatch.setattr(FiniteModule, "_check_axiom_rows", kernel)
+    monkeypatch.setattr(random, "Random", kernel)  # nor the sampled check
     R = make_zmod(60)
     M = R.as_module
     K = span(M, [12])
@@ -169,10 +354,12 @@ def test_derived_structures_over_a_tabulated_base_skip_the_axiom_kernel(monkeypa
     SubcarrierModule(M, K.indices)
     QuotientRing(R, K)
     RestrictedModule(M, SubringOnIdempotent(R, 21))
+    _compositions(Z12, Z6, C4)
+    # not derived from checked parts: the kernel is their check
     with pytest.raises(AssertionError, match="the axiom kernel ran"):
-        CyclicModule(R, 6)  # not derived: the kernel is its check
+        CyclicModule(R, 6)
     with pytest.raises(AssertionError, match="the axiom kernel ran"):
-        ProductRing(R, make_zmod(2))
+        IdealizationRing(Z6, Z6.as_module)
 
 
 def test_row_checks_never_call_the_structural_operations():
@@ -465,3 +652,34 @@ def test_submodule_indices_outside_the_module_are_refused(base):
     for indices in ([0, base.order], [-1, 0], [0, 300 * 300]):
         with pytest.raises(InvalidConstructionError, match="not elements of"):
             Submodule(base, indices)
+
+
+def _raw_index_entry_points():
+    """name -> (entry point on one raw index, the order of the structure
+    the index is read in, the largest index the entry point takes)."""
+    from absorb.constructions import MultiplicativeSet
+    from absorb.modules import colon_ideal, colon_submodule, cyclic_submodule
+
+    Z12, P = make_zmod(12), ProductRing(make_zmod(2), make_zmod(3))
+    N = zero_submodule(Z12.as_module)
+    return {
+        "span-Z12": (lambda x: span(Z12.as_module, [x]), 12, 11),
+        "span-Z2xZ3": (lambda x: span(P.as_module, [x]), 6, 5),
+        "cyclic_submodule": (lambda x: cyclic_submodule(P.as_module, x), 6, 5),
+        "SubringOnIdempotent": (lambda x: SubringOnIdempotent(P, x), 6, 4),  # 4 = (1,1)
+        "MultiplicativeSet": (lambda x: MultiplicativeSet(P, [x]), 6, 5),
+        "colon_submodule": (lambda x: colon_submodule(N, x), 12, 11),
+        "colon_ideal": (lambda x: colon_ideal(N, x), 12, 11),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_raw_index_entry_points()))
+def test_raw_indices_outside_a_structure_are_invalid_constructions(entry):
+    """Each entry point that takes a raw element index refuses one outside
+    its ring or module, above or below, before anything reads through it,
+    and takes the largest index inside."""
+    build, order, last = _raw_index_entry_points()[entry]
+    for bad in (order, 40, 99, -1):
+        with pytest.raises(InvalidConstructionError, match="is not an element of"):
+            build(bad)
+    build(last)

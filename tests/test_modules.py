@@ -252,9 +252,10 @@ def test_axiom_check_reads_every_cell_of_the_ring_tables():
 
 
 def test_axiom_check_is_exhaustive_on_tabulated_modules(monkeypatch):
-    """Tabulated modules are checked without sampling: building (Z6)^3,
-    checked on every triple, or Z60/0, checked by its projection from the
-    tabulated Z60, draws no random number."""
+    """Tabulated modules are built without sampling: (Z6)^3, a product of
+    checked parts that runs no check of its own, and Z60/0, checked by its
+    projection from the tabulated Z60, draw no random number.  Both then
+    pass the exhaustive check here."""
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("the axiom check sampled")

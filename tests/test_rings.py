@@ -2,10 +2,12 @@
 
 ZMod and the ring-as-module view skip their in-constructor axiom checks for
 speed, so this file re-verifies those axioms exhaustively and independently.
-A derived ring is checked as a module over itself: by the row kernel on every
-triple up to 256 elements, on a fixed-seed sample above.  The check is tested
-on structures that break one ring axiom each, on both paths, and on every
-single-cell change of Z12's tables.
+A ring with arithmetic of its own, such as an idealization, is checked as a
+module over itself: by the row kernel on every triple up to 256 elements, on
+a fixed-seed sample above.  A product, quotient or carrier ring is checked
+through its checked parts instead (``tests/test_derived_tables.py`` runs the
+kernel on those).  The check is tested on rings that break one ring axiom
+each, on both paths, and on every single-cell change of Z12's tables.
 """
 import random
 import re
