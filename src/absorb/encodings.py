@@ -2,8 +2,8 @@
 
 Each class here owns one way of numbering the elements of a construction
 built from other structures, for rings and modules alike: how an index is
-packed and unpacked, described, and read from a literal.  A product reads
-its tables off its factors' rows (``ProductCodec``).  The codecs
+packed and unpacked, described, and read from a literal.  A pair structure
+reads its tables off its parts' rows (``PairCodec.pair_rows``).  The codecs
 whose elements are base elements compose their tables from the base's rows,
 check what their derivation can break, and give the one set of element
 operations that a derived structure over an untabulated base uses."""
@@ -48,6 +48,16 @@ class PairCodec:
             self._first.literal_to_index(lit[0]), self._second.literal_to_index(lit[1])
         )
 
+    def pair_rows(self, pairs) -> list[bytes]:
+        """For each (f, g) in ``pairs``, bytes rows of the first and of the
+        second factor, the row of pairs whose entry at (x, y) is f[x] *
+        |second| + g[y]: g translated through s * |second| + y for each
+        entry s of f, one join per row.  Needs at most 256 pairs."""
+        nb = self._ro
+        shift = [bytes(range(s * nb, s * nb + nb)).ljust(256, b"\0") for s in range(256 // nb)]
+        join, at = b"".join, shift.__getitem__
+        return [join(map(g.translate, map(at, f))) for f, g in pairs]
+
 
 class ProductCodec(PairCodec):
     """The product of two checked factors, which needs no check of its own.
@@ -64,16 +74,6 @@ class ProductCodec(PairCodec):
             self.pair_rows(self._second_pairs()),
             self.pair_rows([(first.neg_t, second.neg_t)])[0],
         )
-
-    def pair_rows(self, pairs) -> list[bytes]:
-        """For each (f, g) in ``pairs``, bytes rows of the first and of the
-        second factor, the row of pairs whose entry at (x, y) is f[x] *
-        |second| + g[y]: g translated through s * |second| + y for each
-        entry s of f, one join per row.  Needs at most 256 pairs."""
-        nb = self._ro
-        shift = [bytes(range(s * nb, s * nb + nb)).ljust(256, b"\0") for s in range(256 // nb)]
-        join, at = b"".join, shift.__getitem__
-        return [join(map(g.translate, map(at, f))) for f, g in pairs]
 
     def _check_axioms(self) -> None:
         """Nothing: a product of checked rings or modules is one.  The full
@@ -123,9 +123,8 @@ def row_hom_misses(f, rows, images):
 class _BaseElements:
     """What the codecs whose elements are elements of ``base`` share:
     ``_at`` lists those base elements in own-index order, ``_own(b)`` is
-    the own index of base element b, ``_own_index()`` that of every base
-    element, and ``_check_derivation()`` checks what a tabulated base
-    leaves open.  Each element operation is the own index of the base's
+    the own index of base element b, and ``_own_index()`` that of every
+    base element.  Each element operation is the own index of the base's
     operation at ``_at``; a structure with tables replaces them by lookups,
     so they run only over a base without tables."""
 
@@ -143,17 +142,6 @@ class _BaseElements:
         pick = _gather(self._at)
         own = bytes(self._own_index()).ljust(256, b"\xff")
         return [pick(row).translate(own) for row in rows]
-
-    def _check_axioms(self) -> None:
-        """Over a tabulated base, only what the derivation can break
-        (``_check_derivation``), as the base's own check covers every
-        axiom; over any other base, the structure's own check.  The full
-        row kernel runs on every derived structure in
-        ``tests/test_derived_tables.py``."""
-        if self.base.add_t is None:
-            super()._check_axioms()
-        else:
-            self._check_derivation()
 
 
 class CosetCodec(_BaseElements):
@@ -185,7 +173,9 @@ class CosetCodec(_BaseElements):
         structure's, for each ``(symbol, base rows, rows)``: p(row_k[b]) =
         image_k[p(b)].  As p is onto, every axiom of the base then holds
         here too; with the zero coset exactly the kernel, this is the
-        quotient by it."""
+        quotient by it.  Over a base without tables a quotient checks only
+        its modulus: a ``Submodule``, checked when it was built, whose
+        cosets ``_init_cosets`` matched."""
         for symbol, rows, images in ops:
             if next(row_hom_misses(self._proj, rows, images), None):
                 raise InvalidConstructionError(
@@ -228,11 +218,12 @@ class CarrierCodec(_BaseElements):
             own[c] = k
         return own
 
-    def _check_derivation(self) -> None:
+    def _check_axioms(self) -> None:
         """Nothing more: the carrier holds 0 (``_init_carrier``), and
-        ``byte_rows`` refused any entry outside it, so it is closed under +,
-        - and the action or *.  It is a submodule, or a subring, in which
-        e(ex) = ex as e is idempotent."""
+        ``byte_rows`` refused any entry outside it, or ``from_base`` refuses
+        one when it is read, so it is closed under +, - and the action or
+        *.  It is a submodule, or a subring, in which e(ex) = ex as e is
+        idempotent."""
 
     def from_base(self, base_index: int) -> int:
         """The own index of a base element, which must lie in the carrier."""

@@ -5,9 +5,14 @@ import os
 
 def env_bound(name: str, default: int) -> int:
     """The size bound set by the environment variable ``name``, or
-    ``default`` when it is unset or empty."""
+    ``default`` when it is unset or empty.  Any other value but a
+    non-negative integer in decimal digits raises SizeBoundError."""
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise SizeBoundError(f"{name}={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 class AbsorbError(Exception):

@@ -7,7 +7,6 @@ Submodule carriers are kept both as sorted index tuples and as bit masks
 """
 from __future__ import annotations
 
-import random
 from itertools import product, repeat
 
 from .encodings import CarrierCodec, CosetCodec, ProductCodec, row_hom_misses
@@ -29,11 +28,10 @@ from .rings import (
     ZMod,
     byte_rows,
     check_hom_entries,
+    cyclic_rows,
     element_index,
 )
 
-ACTION_SAMPLE_COUNT = 1000
-_SAMPLE_SEED = 0xB0B
 # hit-row targets kept per module: a submodule's mask and the zero mask
 # (for sdf's annihilator rows), with room for the previous submodule's
 HIT_ROW_CACHE_SIZE = 4
@@ -108,7 +106,7 @@ class FiniteModule:
     def _finalize(self) -> None:
         if self.order < 1:
             raise InvalidOrderError(f"{self.name}: empty carrier")
-        # a ring acting on itself is checked by its ring, as a module over it
+        # a ring acting on itself is its ring, which needs no other check
         if not getattr(self, "_trusted_ops", False):
             self._tabulate()
             self._check_axioms()
@@ -140,82 +138,11 @@ class FiniteModule:
         )
 
     def _check_axioms(self) -> None:
-        nr, nm = self.ring.order, self.order
-        if self.act_t is not None and self.ring.add_t is not None:
-            self._check_axiom_rows()
-            return
-        rng = random.Random(_SAMPLE_SEED)
-        scalar_triples = (
-            (rng.randrange(nr), rng.randrange(nr), rng.randrange(nm))
-            for _ in range(ACTION_SAMPLE_COUNT)
-        )
-        rng2 = random.Random(_SAMPLE_SEED + 1)
-        elt_triples = (
-            (rng2.randrange(nr), rng2.randrange(nm), rng2.randrange(nm))
-            for _ in range(ACTION_SAMPLE_COUNT)
-        )
-        R, add, act = self.ring, self.add, self.act
-        for r, s, x in scalar_triples:
-            if act(R.add(r, s), x) != add(act(r, x), act(s, x)):
-                raise InvalidConstructionError(f"{self.name}: (r+s)x axiom fails")
-            if act(R.mul(r, s), x) != act(r, act(s, x)):
-                raise InvalidConstructionError(f"{self.name}: (rs)x axiom fails")
-        for r, x, y in elt_triples:
-            if act(r, add(x, y)) != add(act(r, x), act(r, y)):
-                raise InvalidConstructionError(f"{self.name}: r(x+y) axiom fails")
-            if add(x, y) != add(y, x):
-                raise InvalidConstructionError(f"{self.name}: + not commutative")
-        for x in range(nm):
-            if act(R.one, x) != x:
-                raise InvalidConstructionError(f"{self.name}: 1x = x fails")
-            if add(x, self.neg(x)) != self.zero:
-                raise InvalidConstructionError(f"{self.name}: bad negation")
-        rng3 = random.Random(_SAMPLE_SEED + 2)
-        for _ in range(ACTION_SAMPLE_COUNT):
-            x, y, z = rng3.randrange(nm), rng3.randrange(nm), rng3.randrange(nm)
-            if add(add(x, y), z) != add(x, add(y, z)):
-                raise InvalidConstructionError(f"{self.name}: + not associative")
-        if any(add(self.zero, x) != x for x in range(nm)):
-            raise InvalidConstructionError(f"{self.name}: 0 + x = x fails")
-
-    def _check_axiom_rows(self) -> None:
-        """Every axiom on every triple, read off the byte-row tables of M and
-        R with no Python loop over triples: ``row.translate(tab)`` is
-        ``[tab[i] for i in row]`` in one C call.  Rows shorter than 256 are
-        padded to make translate tables; the padding is never read, as
-        ``_tabulate`` checked every entry."""
-        R, nm = self.ring, self.order
-        act_b, add_b = self.act_t, self.add_t  # act_b[r][x] = r.x, add_b[x][y] = x + y
-        radd, rmul = b"".join(R.add_t), b"".join(R.mul_t)
-        pad_m = bytes(256 - nm)
-        act_tab = [row + pad_m for row in act_b]
-        add_tab = [row + pad_m for row in add_b]
-        pad_r = bytes(256 - R.order)
-        join, sums = b"".join, add_tab.__getitem__
-        for col in map(bytes, zip(*act_b)):  # col[r] = r.x, one per x
-            col_tab = col + pad_r
-            # over all (r, s): (r+s)x = rx + sx and (rs)x = r(sx)
-            if radd.translate(col_tab) != join(map(col.translate, map(sums, col))):
-                raise InvalidConstructionError(f"{self.name}: (r+s)x axiom fails")
-            if rmul.translate(col_tab) != join(map(col.translate, act_tab)):
-                raise InvalidConstructionError(f"{self.name}: (rs)x axiom fails")
-        add_all = join(add_b)
-        for row, tab in zip(act_b, act_tab):  # row[x] = r.x, one per r
-            # over all (x, y): r(x+y) = rx + ry
-            if add_all.translate(tab) != join(map(row.translate, map(sums, row))):
-                raise InvalidConstructionError(f"{self.name}: r(x+y) axiom fails")
-        if add_all != join(map(bytes, zip(*add_b))):
-            raise InvalidConstructionError(f"{self.name}: + not commutative")
-        if act_b[R.one] != bytes(range(nm)):
-            raise InvalidConstructionError(f"{self.name}: 1x = x fails")
-        neg_t = self.neg_t
-        if any(add_b[x][neg_t[x]] != self.zero for x in range(nm)):
-            raise InvalidConstructionError(f"{self.name}: bad negation")
-        for x, tab in enumerate(add_tab):  # over all (y, z): x + (y + z) = (x + y) + z
-            if add_all.translate(tab) != join(map(add_b.__getitem__, add_b[x])):
-                raise InvalidConstructionError(f"{self.name}: + not associative")
-        if add_b[self.zero] != bytes(range(nm)):
-            raise InvalidConstructionError(f"{self.name}: 0 + x = x fails")
+        """The side condition of the construction, which makes the module
+        valid given its checked parts: each subclass names its own, so one
+        that names none fails here.  The full axiom kernel runs in the
+        tests."""
+        raise NotImplementedError(f"{type(self).__name__} names no side condition")
 
     def elt(self, i: int) -> "ModElt":
         if not 0 <= i < self.order:
@@ -344,7 +271,8 @@ class RingAsModule(FiniteModule):
 
 
 class CyclicModule(FiniteModule):
-    """Z_d with the induced Z_n action (requires d | n)."""
+    """Z_d with the induced Z_n action (requires d | n).  Its tables are
+    Z_d's, r acting by Z_d's mul row of r mod d; tabulated, d <= 181."""
 
     def __init__(self, ring: ZMod, d: int):
         if not isinstance(ring, ZMod):
@@ -368,6 +296,13 @@ class CyclicModule(FiniteModule):
 
     def act(self, r, x):
         return (r * x) % self.d
+
+    def _op_rows(self):
+        add_rows, mul_rows, neg_row = cyclic_rows(self.d)
+        return add_rows, [mul_rows[r % self.d] for r in range(self.ring.order)], neg_row
+
+    def _check_axioms(self) -> None:
+        """Nothing more: d | n, checked above, makes Z_d a Z_n-module."""
 
     def describe(self, x):
         return str(x)
@@ -481,14 +416,15 @@ class QuotientModule(CosetCodec, _DerivedModule):
         self.name = f"{base.name}/K"
         self._finalize()
 
-    def _check_derivation(self) -> None:
+    def _check_axioms(self) -> None:
         """p preserves +, - and the action of every scalar."""
         base = self.base
-        self._check_projection(
-            ("+", base.add_t, map(self.add_t.__getitem__, self._proj)),
-            ("-", [base.neg_t], [self.neg_t]),
-            ("the action", base.act_t, self.act_t),
-        )
+        if base.act_t is not None:
+            self._check_projection(
+                ("+", base.add_t, map(self.add_t.__getitem__, self._proj)),
+                ("-", [base.neg_t], [self.neg_t]),
+                ("the action", base.act_t, self.act_t),
+            )
 
     @property
     def signature(self):
@@ -526,7 +462,7 @@ class ScalarRestriction(CarrierCodec, _DerivedModule):
         self.name = f"{base.name} via {hom.name}"
         self._finalize()
 
-    def _check_derivation(self) -> None:
+    def _check_axioms(self) -> None:
         """Nothing: f is a ring hom, which ``RingHom`` checked, so r.x =
         f(r)x makes the R2-module an R1-module."""
 

@@ -8,7 +8,6 @@ construction; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import functools
-import random
 from itertools import product, repeat
 from math import gcd
 
@@ -27,18 +26,7 @@ from .errors import (
     InvalidOrderError,
 )
 
-AXIOM_SAMPLE_COUNT = 1000
 TABULATE_BOUND = 65536
-_SAMPLE_SEED = 0xA11CE
-# what the module check of R over itself reports, in the ring's words
-_RING_WORDING = {
-    "(r+s)x axiom fails": "not distributive",
-    "r(x+y) axiom fails": "not distributive",
-    "(rs)x axiom fails": "* not associative",
-    "+ not commutative": "not commutative",
-    "1x = x fails": "bad identities",
-    "0 + x = x fails": "bad identities",
-}
 
 
 def byte_rows(rows, n: int, name: str) -> list[bytes]:
@@ -52,6 +40,20 @@ def byte_rows(rows, n: int, name: str) -> list[bytes]:
     if table is None or b"".join(table).translate(None, bytes(range(n))):
         raise InvalidConstructionError(f"{name}: an operation leaves its carrier")
     return table
+
+
+def cyclic_rows(n: int) -> tuple[list[bytes], list[bytes], bytes]:
+    """The add rows, mul rows and negation row of Z/nZ, n <= 256: row i of
+    the add table is 0 .. n-1 rotated by i, and row i of the mul table
+    every i-th entry of i copies of 0 .. n-1, n^2 entries in O(n) C calls.
+    n = 1 gives the rows of the zero module."""
+    cyc = bytes(range(n))
+    twice = cyc + cyc
+    return (
+        [twice[i:i + n] for i in range(n)],
+        [bytes(n)] + [(cyc * i)[::i] for i in range(1, n)],
+        bytes(-i % n for i in range(n)),
+    )
 
 
 def element_index(S, x) -> int:
@@ -121,8 +123,7 @@ class FiniteRing:
         self._orbit_cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._unit_classes: tuple[list[int], tuple[int, ...], tuple[int, ...]] | None = None
         self._as_module = None
-        # direct modular arithmetic needs no axiom check (the test suite
-        # verifies it); a derived ring is checked as its own as_module
+        # direct modular arithmetic needs no check (the test suite verifies it)
         if not getattr(self, "_trusted_ops", False):
             self._tabulate()
             if self.add_t is not None:  # lookups for element-by-element callers
@@ -158,24 +159,11 @@ class FiniteRing:
         )
 
     def _check_axioms(self) -> None:
-        """R is a module over itself exactly when it satisfies every ring
-        axiom but commutativity of *, which is the one checked here."""
-        M = self.as_module
-        try:
-            M._check_axioms()
-        except InvalidConstructionError as e:
-            axiom = str(e).removeprefix(f"{M.name}: ")
-            raise InvalidConstructionError(
-                f"{self.name}: {_RING_WORDING.get(axiom, axiom)}"
-            ) from None
-        if self.mul_t is not None:
-            commutes = list(zip(*self.mul_t)) == list(map(tuple, self.mul_t))
-        else:
-            n, mul, rng = self.order, self.mul, random.Random(_SAMPLE_SEED)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(AXIOM_SAMPLE_COUNT))
-            commutes = all(mul(a, b) == mul(b, a) for a, b in pairs)
-        if not commutes:
-            raise InvalidConstructionError(f"{self.name}: not commutative")
+        """The side condition of the construction, which makes the ring
+        valid given its checked parts: each subclass names its own, so one
+        that names none fails here.  The full axiom kernel runs in the
+        tests."""
+        raise NotImplementedError(f"{type(self).__name__} names no side condition")
 
     def elt(self, i: int) -> "RingElt":
         if not 0 <= i < self.order:
@@ -363,19 +351,13 @@ class ZMod(FiniteRing):
         return (i - j) % self.n
 
     def _tabulate(self) -> None:
-        """Row i of the add table is 0 .. n-1 rotated by i, and row i of the
-        mul table every i-th entry of i copies of 0 .. n-1: n^2 entries in
-        O(n) C calls.  A subclass with arithmetic of its own is tabulated,
-        and range-checked, from its operations."""
+        """The rows of ``cyclic_rows``.  A subclass with arithmetic of its
+        own is tabulated, and range-checked, from its operations."""
         n, cls = self.n, type(self)
         if n > 256 or (cls.add, cls.mul, cls.neg) != (ZMod.add, ZMod.mul, ZMod.neg):
             super()._tabulate()
             return
-        cyc = bytes(range(n))
-        twice = cyc + cyc
-        self.add_t = [twice[i:i + n] for i in range(n)]
-        self.mul_t = [bytes(n)] + [(cyc * i)[::i] for i in range(1, n)]
-        self.neg_t = bytes(-i % n for i in range(n))
+        self.add_t, self.mul_t, self.neg_t = cyclic_rows(n)
 
     def _class_ids(self) -> list[int]:
         """t and s are associates in Z_n exactly when gcd(t, n) = gcd(s, n),
@@ -472,14 +454,15 @@ class QuotientRing(CosetCodec, _DerivedRing):
             raise InvalidConstructionError("a proper subset holding 1 is not an ideal")
         self._finalize()
 
-    def _check_derivation(self) -> None:
+    def _check_axioms(self) -> None:
         """p preserves + and *; then it preserves - too, as p(a) + p(-a) =
         p(0)."""
         base = self.base
-        self._check_projection(
-            ("+", base.add_t, map(self.add_t.__getitem__, self._proj)),
-            ("*", base.mul_t, map(self.mul_t.__getitem__, self._proj)),
-        )
+        if base.add_t is not None:
+            self._check_projection(
+                ("+", base.add_t, map(self.add_t.__getitem__, self._proj)),
+                ("*", base.mul_t, map(self.mul_t.__getitem__, self._proj)),
+            )
 
     @property
     def signature(self):
@@ -508,7 +491,8 @@ class SubringOnIdempotent(CarrierCodec, _DerivedRing):
 
 class IdealizationRing(PairCodec, FiniteRing):
     """Trivial extension of a ring by a module: carrier R x M with
-    (u,x)(v,y) = (uv, uy + vx); index = r * |M| + m."""
+    (u,x)(v,y) = (uv, uy + vx); index = r * |M| + m.  With the tables of R
+    and M, its own are read off their rows."""
 
     def __init__(self, base: FiniteRing, module):
         if not base.same_ring(module.ring):
@@ -539,6 +523,28 @@ class IdealizationRing(PairCodec, FiniteRing):
     def neg(self, i):
         r, m = divmod(i, self._ro)
         return self.base.neg(r) * self._ro + self.module.neg(m)
+
+    def _op_rows(self):
+        """+ and - pair R's rows with M's.  (u,x)(v,y) = (uv, vx) + (0, uy),
+        so block v of the * row of (u, x) is M's act row of u, the entries
+        (0, uy), read through the add row of (uv, vx)."""
+        R, M = self.base, self.module
+        if R.add_t is None or M.act_t is None:
+            return super()._op_rows()
+        add_rows = self.pair_rows(product(R.add_t, M.add_t))
+        through = [row.ljust(256, b"\0") for row in add_rows]
+        columns = list(zip(*M.act_t))  # columns[x][v] = vx
+        join, nm = b"".join, self._ro
+        mul_rows = [
+            join([act_u(through[s * nm + w]) for s, w in zip(products, vx)])
+            for products, act_u in zip(R.mul_t, (row.translate for row in M.act_t))
+            for vx in columns
+        ]
+        return add_rows, mul_rows, self.pair_rows([(R.neg_t, M.neg_t)])[0]
+
+    def _check_axioms(self) -> None:
+        """Nothing more: R x M with this * is a commutative ring for every
+        R-module M, which ``__init__`` checked M to be."""
 
     @property
     def signature(self):

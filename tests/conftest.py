@@ -7,12 +7,18 @@ The walk oracles (``WALK_ORACLES``) are the element-pair scans the class
 kernel of ``absorb.predicates`` replaced, and for sdf the scan its class
 test skips when it holds: whole reports, witness and ``checked_count``
 included, from the same hit rows, to compare with the class kernel's field
-by field."""
+by field.
+
+The axiom kernels (``check_axiom_rows``, ``check_ring_axiom_rows``) check
+every module or ring axiom on every triple of a tabulated structure.  No
+library construction runs them: each checks only its own side condition,
+and the tests run the kernels on what the library builds."""
 from __future__ import annotations
 
 from functools import partial
 from math import gcd
 
+from absorb.errors import InvalidConstructionError
 from absorb.modules import Submodule, indices_of, mask_of, radical
 from absorb.predicates import (
     _OpRow,
@@ -32,6 +38,73 @@ SWEEP_WIDE = (
     "prod(prod(cyc(Zn(4),4),cyc(Zn(4),4)),cyc(Zn(4),4))",
     "self(prod(Zn(12),Zn(12)))",
 )
+
+
+# what the module kernel on R over itself reports, in the ring's words
+_RING_WORDING = {
+    "(r+s)x axiom fails": "not distributive",
+    "r(x+y) axiom fails": "not distributive",
+    "(rs)x axiom fails": "* not associative",
+    "+ not commutative": "not commutative",
+    "1x = x fails": "bad identities",
+    "0 + x = x fails": "bad identities",
+}
+
+
+def check_axiom_rows(M) -> None:
+    """Every module axiom on every triple, read off the byte-row tables of
+    M and its ring with no Python loop over triples: ``row.translate(tab)``
+    is ``[tab[i] for i in row]`` in one C call.  Raises
+    InvalidConstructionError naming the first axiom that fails.  Rows
+    shorter than 256 are padded to make translate tables; the padding is
+    never read, as ``byte_rows`` checked every entry."""
+    R, nm = M.ring, M.order
+    act_b, add_b = M.act_t, M.add_t  # act_b[r][x] = r.x, add_b[x][y] = x + y
+    radd, rmul = b"".join(R.add_t), b"".join(R.mul_t)
+    pad_m = bytes(256 - nm)
+    act_tab = [row + pad_m for row in act_b]
+    add_tab = [row + pad_m for row in add_b]
+    pad_r = bytes(256 - R.order)
+    join, sums = b"".join, add_tab.__getitem__
+    for col in map(bytes, zip(*act_b)):  # col[r] = r.x, one per x
+        col_tab = col + pad_r
+        # over all (r, s): (r+s)x = rx + sx and (rs)x = r(sx)
+        if radd.translate(col_tab) != join(map(col.translate, map(sums, col))):
+            raise InvalidConstructionError(f"{M.name}: (r+s)x axiom fails")
+        if rmul.translate(col_tab) != join(map(col.translate, act_tab)):
+            raise InvalidConstructionError(f"{M.name}: (rs)x axiom fails")
+    add_all = join(add_b)
+    for row, tab in zip(act_b, act_tab):  # row[x] = r.x, one per r
+        # over all (x, y): r(x+y) = rx + ry
+        if add_all.translate(tab) != join(map(row.translate, map(sums, row))):
+            raise InvalidConstructionError(f"{M.name}: r(x+y) axiom fails")
+    if add_all != join(map(bytes, zip(*add_b))):
+        raise InvalidConstructionError(f"{M.name}: + not commutative")
+    if act_b[R.one] != bytes(range(nm)):
+        raise InvalidConstructionError(f"{M.name}: 1x = x fails")
+    neg_t = M.neg_t
+    if any(add_b[x][neg_t[x]] != M.zero for x in range(nm)):
+        raise InvalidConstructionError(f"{M.name}: bad negation")
+    for x, tab in enumerate(add_tab):  # over all (y, z): x + (y + z) = (x + y) + z
+        if add_all.translate(tab) != join(map(add_b.__getitem__, add_b[x])):
+            raise InvalidConstructionError(f"{M.name}: + not associative")
+    if add_b[M.zero] != bytes(range(nm)):
+        raise InvalidConstructionError(f"{M.name}: 0 + x = x fails")
+
+
+def check_ring_axiom_rows(R) -> None:
+    """R is a module over itself exactly when it satisfies every ring
+    axiom but commutativity of *, which is a compare of the mul table with
+    its transpose here.  Raises InvalidConstructionError in the ring's
+    words."""
+    M = R.as_module
+    try:
+        check_axiom_rows(M)
+    except InvalidConstructionError as e:
+        axiom = str(e).removeprefix(f"{M.name}: ")
+        raise InvalidConstructionError(f"{R.name}: {_RING_WORDING.get(axiom, axiom)}") from None
+    if list(zip(*R.mul_t)) != list(map(tuple, R.mul_t)):
+        raise InvalidConstructionError(f"{R.name}: not commutative")
 
 
 def member(N, idx: int) -> bool:

@@ -4,7 +4,10 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +65,27 @@ def test_check_bad_spec_exit_2(capsys):
         capsys, "check", "--module", "self(Zn(12)", "--sub", "zero", "--prop", "gsdf"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "variable, argv",
+    [
+        ("ABSORB_SCAN_BOUND", ["check", "--module", "self(Zn(12))", "--sub", "zero", "--prop", "gsdf"]),
+        ("ABSORB_LATTICE_BOUND", ["enumerate", "--module", "self(Zn(12))", "--props", "gsdf"]),
+    ],
+)
+def test_a_malformed_bound_exits_2_naming_its_variable(variable, argv):
+    """In a fresh process, so that no cached hit rows or lattice spare the
+    read of the bound."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    for value in ("abc", "2k", "-1", "1.5", "²"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", **{variable: value})
+        out = subprocess.run(
+            [sys.executable, "-m", "absorb.cli", *argv], capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert out.returncode == 2, (value, out.stderr)
+        assert out.stderr == f"error: {variable}={value!r} is not a non-negative integer\n"
 
 
 def test_check_usage_error_exit_2(capsys):

@@ -1,25 +1,42 @@
 """Every library structure whose validity follows from parts already
-checked composes its tables from those parts' rows: products from their
-factors', quotients, carriers and amalgamations from their base's, and a
-scalar restriction from its base's rows gathered at f(r).  Homs and
-submodule closure are checked a row at a time.  Each is tested here
-against its per-cell definition or its element-loop oracle, on every such
-structure of the suites' family, the sweep's wide modules and the
-reductions Z_a -> Z_b with b | a <= 60.
+checked composes its tables from those parts' rows: products and
+idealizations from their parts', a cyclic module Z_d from Z_d's,
+quotients, carriers and amalgamations from their base's, and a scalar
+restriction from its base's rows gathered at f(r).  Homs and submodule
+closure are checked a row at a time.  Each is tested here against its
+per-cell definition or its element-loop oracle, on every such structure of
+the suites' family, the sweep's wide modules, the idealization suite, the
+cyclic modules Z_d over Z_n with d | n <= 60 and the reductions Z_a -> Z_b
+with b | a <= 60.
 
-Construction checks a product nothing, a quotient by its projection, a
-carrier (an amalgamation among them) by its closure and a scalar
-restriction by its ``RingHom``; the full axiom kernel that these imply runs
-here instead, on every composed structure the file builds, and products
-too big for tables are compared with the componentwise formula."""
+Construction checks a product, an idealization and a cyclic module
+nothing beyond their parts and their side condition (M over R, d | n), a
+quotient of a tabulated base by its projection, a carrier (an
+amalgamation among them) by its closure and a scalar restriction by its
+``RingHom``; the full axiom kernel, which no library path runs, runs here
+instead, on every composed structure the file builds.  Structures too big
+for tables are compared with their componentwise formula, and those over
+the untabulated Z300 with Z300's operations."""
 import functools
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product, repeat
+from pathlib import Path
 
 import pytest
-from conftest import SWEEP_WIDE, naive_closure_error, naive_hom_error, naive_ring_hom_error
+from conftest import (
+    SWEEP_WIDE,
+    check_axiom_rows,
+    check_ring_axiom_rows,
+    naive_closure_error,
+    naive_hom_error,
+    naive_ring_hom_error,
+)
 
-from absorb import encodings, modules
+from absorb import encodings, modules, suites
 from absorb.constructions import AmalgamatedModule, quotient_module
 from absorb.encodings import row_hom_misses
 from absorb.errors import InvalidConstructionError
@@ -53,7 +70,7 @@ from absorb.rings import (
     reduction_hom,
 )
 from absorb.specdsl import elaborate_module, parse_module_spec
-from absorb.suites import default_family, zn_family
+from absorb.suites import default_family, idealization_family, run_suite, zn_family
 
 
 DERIVED = (QuotientModule, SubcarrierModule, RestrictedModule, QuotientRing, SubringOnIdempotent)
@@ -64,6 +81,8 @@ COMPOSED = (
     AmalgamationRing,
     AmalgamatedModule,
     ScalarRestriction,
+    IdealizationRing,
+    CyclicModule,
 )
 
 
@@ -72,25 +91,33 @@ def _family():
 
 
 def _componentwise(P):
-    """+, then * or the action, then - of the product P, by their
-    componentwise definitions over its factors' element operations."""
+    """+, then * or the action, then - of the product or idealization P,
+    by their definitions over its parts' element operations: componentwise,
+    apart from (u,x)(v,y) = (uv, uy + vx) in an idealization."""
     ring = isinstance(P, FiniteRing)
-    f, g = (P.left, P.right) if ring else (P.m1, P.m2)
-    f2, g2 = (f.mul, g.mul) if ring else (f.act, g.act)
-    if ring:
-        scalar = P.parts
-    elif isinstance(P, ProductOverProductRing):
-        scalar = P.ring.parts
+    if isinstance(P, IdealizationRing):
+        f, g = P.base, P.module
+
+        def second(i, j):
+            (u, x), (v, y) = P.parts(i), P.parts(j)
+            return P.pack(f.mul(u, v), g.add(g.act(u, y), g.act(v, x)))
     else:
-        scalar = lambda r: (r, r)  # noqa: E731
+        f, g = (P.left, P.right) if ring else (P.m1, P.m2)
+        f2, g2 = (f.mul, g.mul) if ring else (f.act, g.act)
+        if ring:
+            scalar = P.parts
+        elif isinstance(P, ProductOverProductRing):
+            scalar = P.ring.parts
+        else:
+            scalar = lambda r: (r, r)  # noqa: E731
+
+        def second(r, j):
+            (r1, r2), (c, d) = scalar(r), P.parts(j)
+            return P.pack(f2(r1, c), g2(r2, d))
 
     def add(i, j):
         (a, b), (c, d) = P.parts(i), P.parts(j)
         return P.pack(f.add(a, c), g.add(b, d))
-
-    def second(r, j):
-        (r1, r2), (c, d) = scalar(r), P.parts(j)
-        return P.pack(f2(r1, c), g2(r2, d))
 
     def neg(i):
         a, b = P.parts(i)
@@ -100,11 +127,12 @@ def _componentwise(P):
 
 
 def _per_cell_tables(S):
-    """S's tables by their definitions: for a product the componentwise
-    formula, and otherwise ``own[base.op(a, b)]`` over the base elements a,
-    b that S's elements stand for."""
-    if isinstance(S, (ProductRing, ProductModule)):
-        add, second, neg = _componentwise(S)
+    """S's tables by their definitions: for a product or an idealization
+    the componentwise formula, for Z_d integer arithmetic mod d, and
+    otherwise ``own[base.op(a, b)]`` over the base elements a, b that S's
+    elements stand for."""
+    if isinstance(S, (ProductRing, ProductModule, IdealizationRing, CyclicModule)):
+        add, second, neg = _formula(S)
         cols = range(S.order)
         scalars = cols if isinstance(S, FiniteRing) else range(S.ring.order)
         return (
@@ -137,6 +165,15 @@ def _per_cell_tables(S):
     return rows(base.add, at), second, bytes(map(own, map(base.neg, at)))
 
 
+def _formula(S):
+    """+, * or the action, and - of a product, an idealization or Z_d, by
+    their definitions."""
+    if not isinstance(S, CyclicModule):
+        return _componentwise(S)
+    d = S.d
+    return (lambda i, j: (i + j) % d), (lambda r, x: r * x % d), (lambda x: -x % d)
+
+
 def _tables(S):
     return S.add_t, (S.mul_t if isinstance(S, FiniteRing) else S.act_t), S.neg_t
 
@@ -144,11 +181,7 @@ def _tables(S):
 def _assert_axioms_hold(S):
     """The full row kernel on S, for a ring on S over itself together with
     the transpose compare for commutativity of *."""
-    if isinstance(S, FiniteRing):
-        S.as_module._check_axiom_rows()
-        assert list(zip(*S.mul_t)) == list(map(tuple, S.mul_t)), S
-    else:
-        S._check_axiom_rows()
+    (check_ring_axiom_rows if isinstance(S, FiniteRing) else check_axiom_rows)(S)
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,11 +229,44 @@ def _products(S):
 
 
 @functools.lru_cache(maxsize=None)
+def _suite_idealizations() -> tuple:
+    """Every idealization ring the ``idealization`` suite builds."""
+    built = []
+
+    def recorded(R, M):
+        built.append(IdealizationRing(R, M))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "IdealizationRing", recorded)
+        run_suite("idealization")
+    return tuple(built)
+
+
+def _idealizations():
+    """The idealization rings of ``idealization_family()`` and the
+    tabulated ones of the ``idealization`` suite (Z_n |x Z_n, n in 2, 3,
+    4, 6, 8, then Z6 |x Z6 again), then Z4 |x Z2, Z12 |x Z4, Z6 |x (Z2 x
+    Z3) and Z16 |x Z16, the largest that has tables."""
+    Z4, Z6, Z12, Z16 = (make_zmod(n) for n in (4, 6, 12, 16))
+    Z2_X_Z3 = ProductModule(CyclicModule(Z6, 2), CyclicModule(Z6, 3))
+    return (
+        *(M.ring for M in idealization_family()),
+        *(A for A in _suite_idealizations() if A.mul_t is not None),
+        IdealizationRing(Z4, CyclicModule(Z4, 2)),
+        IdealizationRing(Z12, CyclicModule(Z12, 4)),
+        IdealizationRing(Z6, Z2_X_Z3),
+        IdealizationRing(Z16, Z16.as_module),
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _composed_structures() -> tuple:
     """Every product of the family and of the sweep's wide modules, nested
     factors and the amalgamations' products included; the 14 amalgamation
-    rings and modules of ``default_family()``; and Z_b as a Z_a-module
-    along every reduction, b | a <= 60."""
+    rings and modules of ``default_family()``; Z_b as a Z_a-module along
+    every reduction, b | a <= 60; the idealizations of ``_idealizations``;
+    and every cyclic module Z_d over Z_n, d | n <= 60."""
     products = {id(P): P for M in _family() for P in _products(M)}
     structures = list(products.values())
     for AM in default_family():
@@ -211,6 +277,9 @@ def _composed_structures() -> tuple:
             if a % b == 0:
                 Za, Zb = make_zmod(a), make_zmod(b)
                 structures.append(ScalarRestriction(Zb.as_module, reduction_hom(Za, Zb)))
+    structures += _idealizations()
+    for n in range(2, 61):
+        structures += [CyclicModule(make_zmod(n), d) for d in range(1, n + 1) if n % d == 0]
     return tuple(structures)
 
 
@@ -226,26 +295,32 @@ def test_composed_tables_equal_their_per_cell_definitions():
     assert counts[ProductRing] == 15 and counts[ProductOverProductRing] == 14, counts
     assert counts[ProductModule] == 77, counts
     assert counts[ScalarRestriction] == sum(a % b == 0 for a in range(2, 61) for b in range(2, a + 1))
+    # the family's 5, the suite's 6 with tables, and 4 more
+    assert len(_suite_idealizations()) == 7 and counts[IdealizationRing] == 15, counts
+    assert counts[CyclicModule] == sum(n % d == 0 for n in range(2, 61) for d in range(1, n + 1))
 
 
 def test_every_derived_structure_passes_the_full_axiom_kernel():
     """The kernel reads only a structure's tables, its zero and one, and
     its ring's tables, so structures that agree on all of these, as a
     quotient and a carrier of Z_n of one order do, are checked once."""
-    checked = set()
+    checked, covered = set(), dict.fromkeys(DERIVED + COMPOSED, 0)
     for S in _derived_structures() + _composed_structures():
         ring = S.one if isinstance(S, FiniteRing) else S.ring.signature
         key = (ring, *map(b"".join, _tables(S)[:2]), S.neg_t, S.zero)
         if key not in checked:
             checked.add(key)
             _assert_axioms_hold(S)
+        covered[type(S)] += 1
     assert len(checked) > 1500
+    assert covered[IdealizationRing] == 15, covered
+    assert covered[CyclicModule] == sum(n % d == 0 for n in range(2, 61) for d in range(1, n + 1))
 
 
 def test_structures_over_an_untabulated_base_tabulate_per_cell():
-    Z300 = make_zmod(300).as_module
+    Z300, *structures = _over_z300()
     assert Z300.act_t is None
-    for S in (QuotientModule(Z300, span(Z300, [12])), SubcarrierModule(Z300, range(0, 300, 10))):
+    for S in structures:
         assert S.act_t is not None and _tables(S) == _per_cell_tables(S)
 
 
@@ -274,10 +349,23 @@ def test_compositions_over_untabulated_parts_tabulate_per_cell():
     _assert_axioms_hold(amalgam)
 
 
+def _assert_follows_its_formula(S):
+    """S's operations agree with ``_formula`` on every 97th row and the
+    last."""
+    assert S.add_t is None
+    add, second, neg = _formula(S)
+    op, nr = (S.mul, S.order) if isinstance(S, FiniteRing) else (S.act, S.ring.order)
+    cols = range(S.order)
+    for i in (*range(0, S.order, 97), S.order - 1):
+        assert list(map(S.add, repeat(i), cols)) == list(map(add, repeat(i), cols)), (S, i)
+    for r in (*range(0, nr, 97), nr - 1):
+        assert list(map(op, repeat(r), cols)) == list(map(second, repeat(r), cols)), (S, r)
+    assert list(map(S.neg, cols)) == list(map(neg, cols)), S
+
+
 def test_untabulated_products_follow_the_componentwise_formula():
     """Products too big for tables run no check, sampled or other: their
-    operations agree with the componentwise formula on every 97th row and
-    the last."""
+    operations agree with the componentwise formula."""
     Z60, Z300, Z2 = make_zmod(60), make_zmod(300), make_zmod(2)
     P300 = ProductRing(Z300, Z2)
     products = (
@@ -287,15 +375,36 @@ def test_untabulated_products_follow_the_componentwise_formula():
         ProductOverProductRing(Z300.as_module, Z2.as_module, P300),
     )
     for P in products:
-        assert P.add_t is None
-        add, second, neg = _componentwise(P)
-        op, nr = (P.mul, P.order) if isinstance(P, FiniteRing) else (P.act, P.ring.order)
-        cols = range(P.order)
-        for i in (*range(0, P.order, 97), P.order - 1):
-            assert list(map(P.add, repeat(i), cols)) == list(map(add, repeat(i), cols)), (P, i)
-        for r in (*range(0, nr, 97), nr - 1):
-            assert list(map(op, repeat(r), cols)) == list(map(second, repeat(r), cols)), (P, r)
-        assert list(map(P.neg, cols)) == list(map(neg, cols)), P
+        _assert_follows_its_formula(P)
+
+
+def test_untabulated_idealizations_and_cyclic_modules_follow_their_formula():
+    """Z42 |x Z42 (1764 elements), the one idealization of the
+    ``idealization`` suite without tables, and Z200 over Z200 run no check
+    beyond their side condition: their operations agree with (u,x)(v,y) =
+    (uv, uy + vx), and with integer arithmetic mod 200."""
+    Z42 = [A for A in _suite_idealizations() if A.mul_t is None]
+    assert [A.order for A in Z42] == [1764]
+    _assert_follows_its_formula(Z42[0])
+    _assert_follows_its_formula(CyclicModule(make_zmod(200), 200))
+
+
+def _over_z300():
+    """The quotient and the carrier of Z300 that this file builds."""
+    Z300 = make_zmod(300).as_module
+    return Z300, QuotientModule(Z300, span(Z300, [12])), SubcarrierModule(Z300, range(0, 300, 10))
+
+
+def test_structures_over_an_untabulated_base_follow_their_base():
+    """Over Z300, which has no tables, a quotient checks only its modulus
+    and a carrier its closure.  The projection onto the quotient and the
+    inclusion of the carrier are module homs on every sum and every
+    scalar multiple, so each is the quotient or the submodule it stands
+    for."""
+    Z300, Q, C = _over_z300()
+    assert Z300.act_t is None and Q.order == 12 and C.order == 30
+    assert naive_hom_error(Z300, Q, [Q.project(a) for a in range(300)]) is None
+    assert naive_hom_error(C, Z300, C.carrier) is None
 
 
 def _compositions(Z12, Z6, C4):
@@ -316,50 +425,100 @@ def _compositions(Z12, Z6, C4):
     )
 
 
+def _build_over_tabulated_parts():
+    """A quotient, carrier, quotient ring and restricted module of Z60, the
+    compositions of ``_compositions``, a cyclic module and an
+    idealization."""
+    Z12, Z6, R = make_zmod(12), make_zmod(6), make_zmod(60)
+    M = R.as_module
+    K = span(M, [12])
+    return (
+        QuotientModule(M, K),
+        SubcarrierModule(M, K.indices),
+        QuotientRing(R, K),
+        RestrictedModule(M, SubringOnIdempotent(R, 21)),
+        *_compositions(Z12, Z6, CyclicModule(Z12, 4)),
+        CyclicModule(R, 6),
+        IdealizationRing(Z6, Z6.as_module),
+    )
+
+
 def test_tabulated_bases_are_never_read_per_cell(monkeypatch):
+    """Z_d's rows are a cyclic module's, and an idealization reads R's and
+    M's: neither is tabulated one cell at a time any more than a derived
+    structure is."""
+
     def per_cell(self):
         raise AssertionError("tabulated one cell at a time")
 
-    Z12, Z6 = make_zmod(12), make_zmod(6)
-    C4 = CyclicModule(Z12, 4)
     monkeypatch.setattr(FiniteModule, "_op_rows", per_cell)
     monkeypatch.setattr(FiniteRing, "_op_rows", per_cell)
-    R = make_zmod(60)
-    M = R.as_module
-    K = span(M, [12])
-    QuotientModule(M, K)
-    SubcarrierModule(M, K.indices)
-    QuotientRing(R, K)
-    RestrictedModule(M, SubringOnIdempotent(R, 21))
-    assert all(S.add_t is not None for S in _compositions(Z12, Z6, C4))
-    # no base: the per-cell rows are their only ones
-    with pytest.raises(AssertionError, match="one cell at a time"):
-        CyclicModule(R, 6)
-    with pytest.raises(AssertionError, match="one cell at a time"):
-        IdealizationRing(Z6, Z6.as_module)
+    assert all(S.add_t is not None for S in _build_over_tabulated_parts())
 
 
 def test_derived_structures_over_a_tabulated_base_skip_the_axiom_kernel(monkeypatch):
-    def kernel(*args):
-        raise AssertionError("the axiom kernel ran")
+    """The axiom kernel lives in the tests only: each construction checks
+    its side condition, a cyclic module and an idealization too, and none
+    samples or reaches the base check, which fails closed."""
 
-    Z12, Z6 = make_zmod(12), make_zmod(6)
-    C4 = CyclicModule(Z12, 4)
-    monkeypatch.setattr(FiniteModule, "_check_axiom_rows", kernel)
-    monkeypatch.setattr(random, "Random", kernel)  # nor the sampled check
-    R = make_zmod(60)
-    M = R.as_module
-    K = span(M, [12])
-    QuotientModule(M, K)
-    SubcarrierModule(M, K.indices)
-    QuotientRing(R, K)
-    RestrictedModule(M, SubringOnIdempotent(R, 21))
-    _compositions(Z12, Z6, C4)
-    # not derived from checked parts: the kernel is their check
-    with pytest.raises(AssertionError, match="the axiom kernel ran"):
-        CyclicModule(R, 6)
-    with pytest.raises(AssertionError, match="the axiom kernel ran"):
-        IdealizationRing(Z6, Z6.as_module)
+    def kernel(*args):
+        raise AssertionError("a base check ran")
+
+    monkeypatch.setattr(FiniteModule, "_check_axioms", kernel)
+    monkeypatch.setattr(FiniteRing, "_check_axioms", kernel)
+    monkeypatch.setattr(random, "Random", kernel)  # nor a sampled check
+    assert len(_build_over_tabulated_parts()) == 12
+
+
+SPY = """
+import collections, json, random, sys
+from absorb import modules, rings, suites
+from absorb.specdsl import elaborate_module, parse_module_spec
+
+def drawn(*args, **kwargs):
+    raise AssertionError("a random number was drawn")
+
+random.Random = drawn
+for name in ("random", "randrange", "randint", "choice", "choices", "sample", "shuffle"):
+    setattr(random, name, drawn)
+calls = collections.Counter()
+
+def spied(cls, kind):
+    rows = cls._op_rows
+    def spy(self):
+        calls[kind, type(self).__name__] += 1
+        return rows(self)
+    cls._op_rows = spy
+
+for cls in (modules.FiniteModule, rings.FiniteRing):
+    spied(cls, "per cell")
+for cls in (modules.CyclicModule, rings.IdealizationRing):
+    spied(cls, "composed")
+suites.default_family()
+for spec in sys.argv[1:]:
+    elaborate_module(parse_module_spec(spec))
+for suite_id in suites.SUITE_IDS:
+    suites.run_suite(suite_id)
+print(json.dumps([[kind, name, n] for (kind, name), n in sorted(calls.items())]))
+"""
+
+
+def test_library_paths_draw_no_random_number_and_compose_cyclic_and_idealization_rows():
+    """In a fresh process, building ``default_family()``, the sweep's
+    specs (the wide modules and Z_n over itself, n <= 120) and all 16
+    suites draws no random number, and no cyclic module or idealization
+    is tabulated one cell at a time: each composes its rows."""
+    specs = [*SWEEP_WIDE, *(f"self(Zn({n}))" for n in range(2, 121))]
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", SPY, *specs], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"), check=True,
+    )
+    calls = {(kind, name): n for kind, name, n in json.loads(out.stdout)}
+    per_cell = {name for kind, name in calls if kind == "per cell"}
+    assert not per_cell & {"CyclicModule", "IdealizationRing"}, calls
+    assert calls["composed", "CyclicModule"] > 100, calls
+    assert calls["composed", "IdealizationRing"] >= 10, calls
 
 
 def test_row_checks_never_call_the_structural_operations():
@@ -394,8 +553,9 @@ def test_a_tabulated_projection_is_checked_once(monkeypatch):
 
 
 def test_an_untabulated_projection_is_checked_by_its_hom(monkeypatch):
-    """Over Z200, which has no tables, the quotient checks its axioms and
-    not its projection, so the projection hom reads every sum of Z200."""
+    """Over Z200, which has no tables, the quotient checks only its
+    modulus and not its projection, so the projection hom reads every sum
+    of Z200."""
     M = CyclicModule(make_zmod(200), 200)
     assert M.add_t is None
     sums = 0

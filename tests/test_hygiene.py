@@ -1,6 +1,6 @@
-"""Every name a module of ``absorb`` imports is used in that module, and every
+"""Every name a module of ``absorb`` imports is used in that module, every
 top-level function, class and constant of a module is named somewhere in the
-package.
+package, and no module imports ``random``: no library path samples.
 
 ``__init__.py`` is left out of the first check: its imports are the package's
 public surface, and so a name it imports counts as used by the second.  A
@@ -39,6 +39,17 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_imports_random(path):
+    imported = set()
+    for node in ast.walk(TREES[path.name]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "random" not in imported
 
 
 def _named_in_package() -> set[str]:

@@ -2,8 +2,10 @@
 
 RingAsModule trusts the verified ring operations at construction time, so the
 first tests here re-verify the module axioms exhaustively and independently.
-The construction-time axiom check itself is tested on structures that break
-one axiom each, on its row kernel and on its sampled path.
+The axiom kernel that the tests run on library structures
+(``conftest.check_axiom_rows``) is itself tested on structures that break
+one axiom each and on every single-cell change of a module's or its ring's
+tables.
 """
 import random
 import re
@@ -36,7 +38,7 @@ from absorb.modules import (
 )
 from absorb.rings import IdealizationRing, ProductRing, ZMod, make_zmod
 from absorb.suites import default_family
-from conftest import naive_radical
+from conftest import check_axiom_rows, naive_radical
 
 
 def _exhaustive_module_axioms(M):
@@ -101,18 +103,14 @@ def _module_axiom_failures(R, order, add, act, neg, zero=0):
 
 
 class _GivenModule(FiniteModule):
-    """A module from plain functions; ``tabulate=False`` keeps it off the
-    row kernel, so the check takes its sampled path."""
+    """A module from plain functions, checked by the axiom kernel."""
 
-    def __init__(self, ring, order, add, act, neg, tabulate=True):
+    _check_axioms = check_axiom_rows
+
+    def __init__(self, ring, order, add, act, neg):
         self.ring, self.order, self.name, self.zero = ring, order, "given", 0
         self.add, self.act, self.neg = add, act, neg
-        self._tabulate_too = tabulate
         self._finalize()
-
-    def _tabulate(self):
-        if self._tabulate_too:
-            super()._tabulate()
 
 
 def _unit_map_on_z2_squared(r, x):
@@ -167,14 +165,14 @@ def _broken_modules():
 _ALSO_BROKEN = {"+ not commutative": {"+ not associative"}}
 
 
-@pytest.mark.parametrize("tabulate", [True, False], ids=["rows", "sampled"])
-@pytest.mark.parametrize("message", sorted(_broken_modules()))
-def test_axiom_check_rejects_each_broken_axiom(message, tabulate):
+# the row kernel is the only path: each id names it
+@pytest.mark.parametrize("message", [pytest.param(m, id=f"{m}-rows") for m in sorted(_broken_modules())])
+def test_axiom_check_rejects_each_broken_axiom(message):
     ring, order, add, act, neg = _broken_modules()[message]
     assert _module_axiom_failures(ring, order, add, act, neg) == {message} | _ALSO_BROKEN.get(
         message, set())
     with pytest.raises(InvalidConstructionError, match=re.escape(message)):
-        _GivenModule(ring, order, add, act, neg, tabulate=tabulate)
+        _GivenModule(ring, order, add, act, neg)
 
 
 def test_axiom_check_rejects_an_action_leaving_the_carrier():
@@ -193,15 +191,16 @@ def test_axiom_check_rejects_an_action_leaving_the_byte_range(offset):
 
 @pytest.mark.parametrize("offset", [300, -5])
 def test_axiom_check_rejects_a_ring_mul_leaving_the_byte_range(offset):
-    """ZMod is trusted and never checks itself; the module over it reads
-    its tables and must reject them cleanly."""
+    """ZMod is trusted and never checks itself; a subclass with arithmetic
+    of its own is range-checked when its tables are first read, and must
+    be rejected cleanly."""
 
     class LeakyZ5(ZMod):
         def mul(self, i, j):
             return i * j % 5 + (offset if i == 4 else 0)
 
     with pytest.raises(InvalidConstructionError, match="leaves its carrier"):
-        CyclicModule(LeakyZ5(5), 5)
+        LeakyZ5(5).mul_t
 
 
 def test_axiom_check_catches_every_single_cell_change_z6_over_z12():
@@ -210,6 +209,8 @@ def test_axiom_check_catches_every_single_cell_change_z6_over_z12():
     some axiom, and the row kernel must see it."""
 
     class Mutated(CyclicModule):
+        _check_axioms = check_axiom_rows
+
         def __init__(self, table, cell, value):
             self._mutation = table, cell, value
             super().__init__(make_zmod(12), 6)
@@ -248,7 +249,21 @@ def test_axiom_check_reads_every_cell_of_the_ring_tables():
             row[s] = (row[s] + 1) % 12  # differs mod 6 too
             rows[r] = bytes(row)
             with pytest.raises(InvalidConstructionError, match=re.escape(message)):
-                CyclicModule(R, 6)
+                check_axiom_rows(CyclicModule(R, 6))
+
+
+def test_a_module_that_names_no_side_condition_is_refused():
+    """The base check fails closed: a subclass that defines no
+    ``_check_axioms`` of its own is never trusted."""
+
+    class Unchecked(FiniteModule):
+        def __init__(self):
+            self.ring, self.order, self.name, self.zero = make_zmod(2), 2, "unchecked", 0
+            self.add, self.act, self.neg = (lambda x, y: x ^ y), (lambda r, x: r * x), (lambda x: x)
+            self._finalize()
+
+    with pytest.raises(NotImplementedError, match="Unchecked names no side condition"):
+        Unchecked()
 
 
 def test_axiom_check_is_exhaustive_on_tabulated_modules(monkeypatch):
