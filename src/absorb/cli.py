@@ -155,11 +155,9 @@ def cmd_enumerate(args) -> int:
     for p in props:
         if p not in PROPERTY_CHECKS:
             raise AbsorbError(f"unknown property {p!r}; known: {', '.join(PROP_NAMES)}")
-    lattice = all_submodules(M)
-    members = sorted(lattice.proper, key=lambda N: (len(N.indices), N.indices))
     columns = ["submodule", "order"] + props
     rows = []
-    for N in members:
+    for N in all_submodules(M).proper:
         row = [N.describe(), len(N.indices)]
         row += [check_property(p, N).holds for p in props]
         rows.append(row)

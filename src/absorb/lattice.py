@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeBoundError, env_bound
-from .modules import FiniteModule, Submodule, indices_of, mask_lut, mask_of, preimage_mask
+from .modules import FiniteModule, Submodule, _cosets, _join, cyclic_mask, indices_of, mask_of
 from .predicates import PROPERTY_CHECKS, PropertyReport
 
 DEFAULT_LATTICE_BOUND = 2048
@@ -52,7 +52,7 @@ def all_submodules(M: FiniteModule, bound: int | None = None) -> SubmoduleLattic
     if M.act_t is not None:  # Rx is column x of the action table
         cyclic = {mask_of(set(col)) for col in zip(*M.act_t)}
     else:
-        cyclic = {_orbit_mask(M, x) for x in range(M.order)}
+        cyclic = {cyclic_mask(M, x) for x in range(M.order)}
     if len(cyclic) > limit:
         raise SizeBoundError(f"{M.name}: more than {limit} submodules; raise {_BOUND_ENV}")
     zero = 1 << M.zero
@@ -85,34 +85,6 @@ def all_submodules(M: FiniteModule, bound: int | None = None) -> SubmoduleLattic
     result = SubmoduleLattice(M, members)
     M._lattice_cache = (limit, result)
     return result
-
-
-def _cosets(M: FiniteModule, base: int):
-    """j -> mask of the coset base + j of the submodule ``base``: with
-    tables, x is in it when -j + x is in base, one translate of add row -j
-    through base's table; otherwise |base| additions."""
-    if M.add_t is not None:
-        add_t, neg_t, lut = M.add_t, M.neg_t, mask_lut(base, M.order)
-        return lambda j: preimage_mask(add_t[neg_t[j]], lut)
-    add, elems = M.add, indices_of(base)
-    return lambda j: mask_of(add(i, j) for i in elems)
-
-
-def _join(base: int, c: int, coset) -> int:
-    """base + C for submodules base and C: the union of the cosets base + j
-    (``coset(j)``), j in C, each coset not yet in the join added once."""
-    joined = base
-    for j in indices_of(c & ~base):
-        if not joined >> j & 1:
-            joined |= coset(j)
-    return joined
-
-
-def _orbit_mask(M: FiniteModule, x: int) -> int:
-    out = 0
-    for r in range(M.ring.order):
-        out |= 1 << M.act(r, x)
-    return out
 
 
 def all_ideals(R, bound: int | None = None) -> SubmoduleLattice:

@@ -442,6 +442,14 @@ class SubcarrierModule(CarrierCodec, _DerivedModule):
         self.name = name or f"sub({base.name},{self.order})"
         self._finalize()
 
+    def _check_axioms(self) -> None:
+        """A carrier with tables had every entry refused outside it by
+        ``byte_rows``; one without must be its own span, which costs |R|
+        actions per generator and an addition per element of the span."""
+        carrier = self.carrier
+        if self.act_t is None and _greedy_span(self.base, carrier)[1] != mask_of(carrier):
+            raise InvalidConstructionError(f"{self.name}: an operation leaves its carrier")
+
     @property
     def signature(self):
         return ("subcarrier", self.base.signature, tuple(self.carrier))
@@ -562,13 +570,7 @@ class Submodule:
     def generators(self) -> tuple[int, ...]:
         """Greedy minimal generating list, in canonical index order."""
         if self._generators is None:
-            gens: list[int] = []
-            cur = span_mask(self.module, ())
-            for i in self.indices:
-                if not cur >> i & 1:
-                    gens.append(i)
-                    cur = span_mask(self.module, gens)
-            self._generators = tuple(gens)
+            self._generators = tuple(_greedy_span(self.module, self.indices)[0])
         return self._generators
 
     def describe(self) -> str:
@@ -606,46 +608,53 @@ def full_submodule(M: FiniteModule) -> Submodule:
     return Submodule(M, range(M.order), _trusted=True)
 
 
-def span_mask(M: FiniteModule, gens) -> int:
-    """Bit mask of the smallest submodule containing the generator indices."""
+def cyclic_mask(M: FiniteModule, x: int) -> int:
+    """Bit mask of the cyclic submodule Rx: one action per scalar."""
+    out = 0
+    for r in range(M.ring.order):
+        out |= 1 << M.act(r, x)
+    return out
+
+
+def _cosets(M: FiniteModule, base: int):
+    """j -> mask of the coset base + j of the submodule ``base``: with
+    tables, x is in it when -j + x is in base, one translate of add row -j
+    through base's table; otherwise |base| additions."""
+    if M.add_t is not None:
+        add_t, neg_t, lut = M.add_t, M.neg_t, mask_lut(base, M.order)
+        return lambda j: preimage_mask(add_t[neg_t[j]], lut)
+    add, elems = M.add, indices_of(base)
+    return lambda j: mask_of(add(i, j) for i in elems)
+
+
+def _join(base: int, c: int, coset) -> int:
+    """base + C for submodules base and C: the union of the cosets base + j
+    (``coset(j)``), j in C, each coset not yet in the join added once."""
+    joined = base
+    for j in indices_of(c & ~base):
+        if not joined >> j & 1:
+            joined |= coset(j)
+    return joined
+
+
+def _greedy_span(M: FiniteModule, elems) -> tuple[list[int], int]:
+    """The members of ``elems``, in the order given, that the span of the
+    earlier ones misses, and the mask of the span of them all: {0} joined
+    with Rg for each such g, which costs |R| actions and one addition per
+    new element."""
+    gens: list[int] = []
     mask = 1 << M.zero
-    elems = [M.zero]
-    queue = [g for g in gens if not mask >> g & 1]
-    for g in queue:
-        mask |= 1 << g
-    add, act = M.add, M.act
-    nr = M.ring.order
-    while queue:
-        e = queue.pop()
-        new = []
-        for r in range(nr):
-            y = act(r, e)
-            if not mask >> y & 1:
-                mask |= 1 << y
-                new.append(y)
-        for s in elems:
-            y = add(e, s)
-            if not mask >> y & 1:
-                mask |= 1 << y
-                new.append(y)
-        elems.append(e)
-        for a in new:
-            # close the new elements against everything seen so far
-            queue.append(a)
-    return mask
+    for g in elems:
+        if not mask >> g & 1:
+            gens.append(g)
+            mask = _join(mask, cyclic_mask(M, g), _cosets(M, mask))
+    return gens, mask
 
 
 def span(M: FiniteModule, gens) -> Submodule:
     """Smallest submodule of M containing the given elements."""
-    idxs = []
-    for g in gens:
-        if isinstance(g, ModElt):
-            if not g.module.same_module(M):
-                raise CrossStructureError("generator from a different module")
-            idxs.append(g.index)
-        else:
-            idxs.append(element_index(M, g))
-    return Submodule(M, indices_of(span_mask(M, idxs)), _trusted=True)
+    mask = _greedy_span(M, [_as_modelt(M, g) for g in gens])[1]
+    return Submodule(M, indices_of(mask), _trusted=True)
 
 
 def cyclic_submodule(M: FiniteModule, x: int) -> Submodule:
@@ -719,12 +728,7 @@ def sum_submodules(A: Submodule, B: Submodule) -> Submodule:
     if not A.module.same_module(B.module):
         raise CrossStructureError("submodules of different modules")
     M = A.module
-    add = M.add
-    mask = 0
-    for a in A.indices:
-        for b in B.indices:
-            mask |= 1 << add(a, b)
-    return Submodule(M, indices_of(mask), _trusted=True)
+    return Submodule(M, indices_of(_join(A.mask, B.mask, _cosets(M, A.mask))), _trusted=True)
 
 
 def intersect_submodules(A: Submodule, B: Submodule) -> Submodule:

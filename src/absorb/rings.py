@@ -308,7 +308,10 @@ class RingElt:
 
 class _TabulatedOnFirstRead:
     """A table attribute of Z_n: the first read runs ``_tabulate``, which
-    stores all three tables on the ring, where later reads find them."""
+    stores all three tables on the ring, where later reads find them.  The
+    stored table is read back by ``getattr``, not through ``__dict__``:
+    taking an instance's ``__dict__`` makes CPython keep a separate dict
+    for it, and every later ``self.n`` in ``add`` or ``mul`` slower."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -317,7 +320,7 @@ class _TabulatedOnFirstRead:
         if ring is None:
             return self
         ring._tabulate()
-        return ring.__dict__[self.name]
+        return getattr(ring, self.name)
 
 
 class ZMod(FiniteRing):

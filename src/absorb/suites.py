@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateLocalizationError, UnknownSuiteError
 from .rings import IdealizationRing, ProductRing, ZMod, identity_hom, make_zmod, reduction_hom
@@ -85,10 +85,6 @@ def zn_module(n: int) -> RingAsModule:
 def zn_family(max_n: int = 60):
     for n in range(2, max_n + 1):
         yield zn_module(n)
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,6 +9,9 @@ test skips when it holds: whole reports, witness and ``checked_count``
 included, from the same hit rows, to compare with the class kernel's field
 by field.
 
+``naive_span`` is the breadth-first closure that the library's spans,
+generator lists and sums, all coset joins of cyclic submodules, replaced.
+
 The axiom kernels (``check_axiom_rows``, ``check_ring_axiom_rows``) check
 every module or ring axiom on every triple of a tabulated structure.  No
 library construction runs them: each checks only its own side condition,
@@ -391,6 +394,38 @@ def naive_all_submodules(M) -> list[tuple[int, ...]]:
                 seen.add(joined)
                 frontier.append(joined)
     return sorted((tuple(elems(m)) for m in seen), key=lambda t: (len(t), t))
+
+
+def naive_span(M, gens) -> int:
+    """Bit mask of the smallest submodule holding the generator indices,
+    by breadth-first closure: each element found is acted on by every
+    scalar and added to every element found before it."""
+    mask = 1 << M.zero
+    elems = [M.zero]
+    queue = [g for g in gens if not mask >> g & 1]
+    for g in queue:
+        mask |= 1 << g
+    while queue:
+        e = queue.pop()
+        for y in [M.act(r, e) for r in range(M.ring.order)] + [M.add(e, s) for s in elems]:
+            if not mask >> y & 1:
+                mask |= 1 << y
+                queue.append(y)
+        elems.append(e)
+    return mask
+
+
+def naive_generators(M, indices) -> tuple[int, ...]:
+    """The greedy generator list of the submodule on ``indices``: each
+    index, in order, that the span of the ones kept so far misses, with
+    the span taken afresh by ``naive_span``."""
+    gens: list[int] = []
+    cur = naive_span(M, ())
+    for i in indices:
+        if not cur >> i & 1:
+            gens.append(i)
+            cur = naive_span(M, gens)
+    return tuple(gens)
 
 
 def naive_closure_error(M, indices) -> str | None:
