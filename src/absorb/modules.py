@@ -167,7 +167,9 @@ class FiniteModule:
         ``all_submodules`` caches on a module is unbounded but lives and dies
         with that module.  ``make_zmod`` shares Z_n instances, and so their
         caches, across the whole process."""
-        cache = self.__dict__.setdefault("_hit_rows", {})
+        cache = getattr(self, "_hit_rows", None)
+        if cache is None:
+            cache = self._hit_rows = {}
         rows = cache.pop(target_mask, None)
         if rows is None:
             nr, nm = self.ring.order, self.order

@@ -12,20 +12,19 @@ import time
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .errors import DegenerateLocalizationError, UnknownSuiteError
+from .errors import AbsorbError, DegenerateLocalizationError, UnknownSuiteError
 from .rings import IdealizationRing, ProductRing, ZMod, identity_hom, make_zmod, reduction_hom
 from .modules import (
     CyclicModule,
     ModuleHom,
     ProductModule,
     RingAsModule,
+    SubcarrierModule,
     Submodule,
     colon_ideal,
     colon_submodule,
-    full_submodule,
     indices_of,
     intersect_submodules,
-    mask_of,
     radical,
     span,
     zero_submodule,
@@ -33,6 +32,7 @@ from .modules import (
 from .constructions import (
     MultiplicativeSet,
     amalg_submodule_n1,
+    amalg_submodule_n2,
     amalgamated_module,
     amalgamation_ring,
     idealization_subset,
@@ -40,13 +40,13 @@ from .constructions import (
     localize_submodule,
     product_submodule,
     quotient_module,
+    quotient_submodule,
     saturate,
 )
 from .lattice import all_multiplicative_sets, all_submodules, decomposition_check
 from .predicates import (
     PROPERTY_CHECKS,
     PropertyReport,
-    is_sdf_primary_ideal,
     replay_witness,
     setwise_sdf_primary,
 )
@@ -293,221 +293,140 @@ def classify_zn(max_n: int, jobs: int = 1) -> ZnClassification:
 
 
 # ------------------------------------------------------------------- suites
+#
+# A suite is a generator over its instances: it yields once per instance it
+# checks, None when the statement holds there and the violation (text,
+# report or None) when it does not, and returns (confirmations, extra
+# parameters).  Its size parameters are keyword-only with defaults.
+# ``run_suite`` does all the counting.
 
 
-def _suite_eq_equivalence(params):
+def _agreement(modules, p, q, submodules=lambda M: all_submodules(M).proper):
+    """One instance per submodule N of each module: do properties p and q
+    agree on N?"""
+    for M in modules:
+        for N in submodules(M):
+            a, b = cached_check(p, N).holds, cached_check(q, N).holds
+            yield None if a == b else (f"{M.name}: N={N.describe()} {p}={a} {q}={b}",
+                                       cached_check(p, N))
+
+
+def _is_reduced(M) -> bool:
+    """R over itself is reduced, that is its nilradical sqrt(0) is zero.  A
+    finite reduced ring is a product of fields, so also von Neumann regular."""
+    return radical(zero_submodule(M)).order == 1
+
+
+def _suite_eq_equivalence(*, zn_max=60, prod_max=12):
     """The four characterizations of gsdf-absorbing agree: N gsdf <=>
     (N :_M r) gsdf for every r with rM not inside N <=> (N :_R x)
     sdf-primary for every x outside N <=> (N :_R K) sdf-primary for every
     finitely generated K (checked for all <= 2-generated K) not inside N."""
-    zn_max = params.get("zn_max", 60)
-    prod_max = params.get("prod_max", 12)
-    modules = list(zn_family(zn_max)) + list(product_family(prod_max))
-    checked = 0
-    violations = []
-    sdfp_cache: dict = {}
 
-    def sdfp(ring, mask: int) -> bool:
-        key = (ring.signature, mask)
-        if key not in sdfp_cache:
-            I = Submodule(ring.as_module, indices_of(mask), _trusted=True)
-            sdfp_cache[key] = is_sdf_primary_ideal(I).holds
-        return sdfp_cache[key]
+    def holds(prop, module, mask):
+        return cached_check(prop, Submodule(module, indices_of(mask), _trusted=True)).holds
 
-    for M in modules:
-        R = M.ring
+    for M in (*zn_family(zn_max), *product_family(prod_max)):
+        RM = M.ring.as_module
         full_m = (1 << M.order) - 1
         for N in all_submodules(M).proper:
-            checked += 1
             nmask = N.mask
             hit = M.scalar_hit_masks(nmask)
             b1 = cached_check("gsdf", N).holds
             # (2): distinct (N :_M r) with rM not inside N are submodules
-            colon_masks = {row for row in hit if row != full_m}
-            b2 = all(
-                cached_check("gsdf", Submodule(M, indices_of(cm), _trusted=True)).holds
-                for cm in colon_masks
-            )
-            # (3): distinct (N :_R x) for x outside N, the columns of hit
-            proper_cols = {
-                mask_of(t for t, row in enumerate(hit) if row >> x & 1)
-                for x in range(M.order)
-                if not nmask >> x & 1
-            }
-            b3 = all(sdfp(R, cm) for cm in proper_cols)
+            b2 = all(holds("gsdf", M, cm) for cm in {row for row in hit if row != full_m})
+            # (3): distinct (N :_R x) for x outside N, the columns of hit,
+            # read by transposing the rows as binary strings (highest t first)
+            bits = [format(row, f"0{M.order}b")[::-1] for row in reversed(hit)]
+            cols = {int("".join(c), 2) for x, c in enumerate(zip(*bits)) if not nmask >> x & 1}
+            b3 = all(holds("sdfprimary", RM, cm) for cm in cols)
             # (4): <=2-generated K not inside N; (N :_R <x1,x2>) is the
             # intersection of the two element colons
-            col_list = sorted(proper_cols)
-            pair_masks = {
-                col_list[i] & col_list[j]
-                for i in range(len(col_list))
-                for j in range(i, len(col_list))
-            }
-            b4 = all(sdfp(R, cm) for cm in pair_masks)
-            if not (b1 == b2 == b3 == b4):
-                violations.append(
-                    (
-                        f"{M.name}: N={N.describe()} verdicts (1,2,3,4)=({b1},{b2},{b3},{b4})",
-                        cached_check("gsdf", N),
-                    )
-                )
-    return checked, violations, {}, {"zn_max": zn_max, "prod_max": prod_max}
+            cols = sorted(cols)
+            pair_masks = {c & d for i, c in enumerate(cols) for d in cols[i:]}
+            b4 = all(holds("sdfprimary", RM, cm) for cm in pair_masks)
+            yield None if b1 == b2 == b3 == b4 else (
+                f"{M.name}: N={N.describe()} verdicts (1,2,3,4)=({b1},{b2},{b3},{b4})",
+                cached_check("gsdf", N),
+            )
+    return {}, {}
 
 
-def _suite_unit2(params):
+def _suite_unit2(*, max_n=99):
     """When 2 is a unit, gsdf-absorbing = classical primary."""
-    max_n = params.get("max_n", 99)
-    checked = 0
-    violations = []
-    for n in range(3, max_n + 1, 2):
-        M = zn_module(n)
-        assert M.ring.is_unit(2 % n)
-        for N in all_submodules(M).proper:
-            checked += 1
-            g = cached_check("gsdf", N).holds
-            c = cached_check("cprimary", N).holds
-            if g != c:
-                violations.append(
-                    (f"Z{n}: N={N.describe()} gsdf={g} cprimary={c}", cached_check("gsdf", N))
-                )
-    return checked, violations, {}, {"max_n": max_n, "parity": "odd"}
+    modules = [zn_module(n) for n in range(3, max_n + 1, 2)]
+    assert all(M.ring.is_unit(2 % M.order) for M in modules)
+    yield from _agreement(modules, "gsdf", "cprimary")
+    return {}, {"parity": "odd"}
 
 
-def _char_two_modules():
-    R2 = make_zmod(2)
-    yield R2.as_module
-    P = ProductRing(R2, make_zmod(2))
-    yield P.as_module
-    yield IdealizationRing(R2, R2.as_module).as_module
-    yield ProductModule(R2.as_module, CyclicModule(R2, 2))
-
-
-def _suite_char2(params):
+def _suite_char2():
     """In characteristic 2 every proper submodule is gsdf-absorbing."""
-    checked = 0
-    violations = []
-    for M in _char_two_modules():
+    R2 = make_zmod(2)
+    for M in (
+        R2.as_module,
+        ProductRing(R2, R2).as_module,
+        IdealizationRing(R2, R2.as_module).as_module,
+        ProductModule(R2.as_module, CyclicModule(R2, 2)),
+    ):
         one = M.ring.one
         assert M.ring.add(one, one) == M.ring.zero
         for N in all_submodules(M).proper:
-            checked += 1
             rep = cached_check("gsdf", N)
-            if not rep.holds:
-                violations.append((f"{M.name}: N={N.describe()}", rep))
-    return checked, violations, {}, {"family": "char-2 rings"}
+            yield None if rep.holds else (f"{M.name}: N={N.describe()}", rep)
+    return {}, {"family": "char-2 rings"}
 
 
-def _is_reduced(M) -> bool:
-    R = M.ring
-    for u in range(R.order):
-        u2 = R.mul(u, u)
-        for x in range(M.order):
-            if M.act(u2, x) == M.zero and M.act(u, x) != M.zero:
-                return False
-    return True
-
-
-def _suite_reduced_zero(params):
+def _suite_reduced_zero(*, max_n=60):
     """In a reduced module, (0) gsdf-absorbing <=> (0) sdf-absorbing."""
-    max_n = params.get("max_n", 60)
-    checked = 0
-    skipped = 0
-    violations = []
-    for M in zn_family(max_n):
-        if not _is_reduced(M):
-            skipped += 1
-            continue
-        checked += 1
-        Z = zero_submodule(M)
-        g = cached_check("gsdf", Z).holds
-        s = cached_check("sdf", Z).holds
-        if g != s:
-            violations.append((f"{M.name}: gsdf(0)={g} sdf(0)={s}", cached_check("gsdf", Z)))
-    return checked, violations, {"non_reduced_skipped": skipped}, {"max_n": max_n}
+    modules = list(zn_family(max_n))
+    reduced = [M for M in modules if _is_reduced(M)]
+    yield from _agreement(reduced, "gsdf", "sdf", submodules=lambda M: [zero_submodule(M)])
+    return {"non_reduced_skipped": len(modules) - len(reduced)}, {}
 
 
-def _is_vnr(R) -> bool:
-    return all(
-        any(R.mul(R.mul(a, x), a) == a for x in range(R.order)) for a in range(R.order)
-    )
-
-
-def _suite_vnr(params):
+def _suite_vnr(*, max_n=60):
     """Over a von Neumann regular ring, gsdf-absorbing = sdf-absorbing for
     every proper submodule (every ideal is radical)."""
-    max_n = params.get("max_n", 60)
-    mods = [M for M in zn_family(max_n) if _is_vnr(M.ring)]
+    modules = [M for M in zn_family(max_n) if _is_reduced(M)]
     for p, q in ((2, 3), (2, 5), (3, 5), (2, 7)):
-        mods.append(ProductRing(make_zmod(p), make_zmod(q)).as_module)
-    checked = 0
-    violations = []
-    for M in mods:
-        for N in all_submodules(M).proper:
-            checked += 1
-            g = cached_check("gsdf", N).holds
-            s = cached_check("sdf", N).holds
-            if g != s:
-                violations.append(
-                    (f"{M.name}: N={N.describe()} gsdf={g} sdf={s}", cached_check("gsdf", N))
-                )
-    return checked, violations, {}, {"max_n": max_n, "extra": "products of prime fields"}
+        modules.append(ProductRing(make_zmod(p), make_zmod(q)).as_module)
+    yield from _agreement(modules, "gsdf", "sdf")
+    return {}, {"extra": "products of prime fields"}
 
 
-def _suite_maximal_prime(params):
+def _suite_maximal_prime():
     """Every maximal gsdf-absorbing submodule is prime."""
-    checked = 0
-    violations = []
     confirmations = {}
     for M in default_family():
         lat = all_submodules(M)
-        gsdf = [N for N in lat.proper if cached_check("gsdf", N).holds]
-        for N in lat.maximal_members(gsdf):
-            checked += 1
+        maximal = lat.maximal_members([N for N in lat.proper if cached_check("gsdf", N).holds])
+        for N in maximal:
             rep = cached_check("prime", N)
-            if not rep.holds:
-                violations.append((f"{M.name}: N={N.describe()}", rep))
+            yield None if rep.holds else (f"{M.name}: N={N.describe()}", rep)
         if isinstance(M, RingAsModule) and isinstance(M.ring, ZMod) and M.ring.n == 12:
-            confirmations["z12_maximal_gsdf"] = sorted(
-                N.describe() for N in lat.maximal_members(gsdf)
-            )
-    return checked, violations, confirmations, {"family": "default"}
+            confirmations["z12_maximal_gsdf"] = sorted(N.describe() for N in maximal)
+    return confirmations, {"family": "default"}
 
 
-def _suite_decomposition(params):
+def _suite_decomposition(*, max_n=100):
     """Every proper submodule of Z_n admits a gsdf-absorbing decomposition."""
-    max_n = params.get("max_n", 100)
-    checked = 0
-    violations = []
-    confirmations = {}
     for n in range(2, max_n + 1):
-        M = zn_module(n)
-        lat = all_submodules(M)
+        lat = all_submodules(zn_module(n))
         for N in lat.proper:
-            checked += 1
-            rep = decomposition_check(N, lat)
-            if not rep.holds:
-                violations.append((f"Z{n}: N={N.describe()}", None))
+            yield None if decomposition_check(N, lat).holds else (f"Z{n}: N={N.describe()}", None)
     # the Z24 non-uniqueness instance: (12) = (3) cap (4) = (6) cap (4)
     M24 = zn_module(24)
     n12 = span(M24, [12])
     i34 = intersect_submodules(span(M24, [3]), span(M24, [4]))
     i64 = intersect_submodules(span(M24, [6]), span(M24, [4]))
-    confirmations["z24_two_decompositions"] = (
-        i34 == n12
-        and i64 == n12
-        and all(cached_check("gsdf", span(M24, [d])).holds for d in (3, 4, 6))
-    )
-    return checked, violations, confirmations, {"max_n": max_n}
+    two = i34 == n12 == i64 and all(cached_check("gsdf", span(M24, [d])).holds for d in (3, 4, 6))
+    return {"z24_two_decompositions": two}, {}
 
 
-def _suite_principal_ideal(params):
+def _suite_principal_ideal(*, max_n=40):
     """For a principal ideal I, N proper in IM is gsdf-absorbing in IM iff
     (N :_M I) is gsdf-absorbing in M."""
-    from .modules import SubcarrierModule
-
-    max_n = params.get("max_n", 40)
-    checked = 0
-    violations = []
     for n in range(2, max_n + 1):
         M = zn_module(n)
         for d in range(2, n):
@@ -516,26 +435,20 @@ def _suite_principal_ideal(params):
             # I = (d); IM has carrier dZ_n
             IM = SubcarrierModule(M, range(0, n, d), name=f"({d})Z{n}")
             for N in all_submodules(IM).proper:
-                checked += 1
                 lifted = Submodule(M, [IM.to_base(i) for i in N.indices], _trusted=True)
-                colon = colon_submodule(lifted, d)
                 lhs = cached_check("gsdf", N).holds
-                rhs = cached_check("gsdf", colon).holds
-                if lhs != rhs:
-                    violations.append(
-                        (f"Z{n}, I=({d}): N={N.describe()} in-IM={lhs} colon={rhs}",
-                         cached_check("gsdf", N)),
-                    )
-    return checked, violations, {}, {"max_n": max_n}
+                rhs = cached_check("gsdf", colon_submodule(lifted, d)).holds
+                yield None if lhs == rhs else (
+                    f"Z{n}, I=({d}): N={N.describe()} in-IM={lhs} colon={rhs}",
+                    cached_check("gsdf", N),
+                )
+    return {}, {}
 
 
-def _suite_localization(params):
+def _suite_localization(*, ring_ns=(12, 24)):
     """Localization both ways: gsdf passes to S^-1 N when it stays proper,
     and comes back when N is S-saturated."""
-    ring_ns = params.get("ring_ns", (12, 24))
-    checked = 0
     skipped_degenerate = 0
-    violations = []
     confirmations = {}
     for n in ring_ns:
         M = zn_module(n)
@@ -543,8 +456,7 @@ def _suite_localization(params):
         loc_cache: dict[int, object] = {}
         for S in all_multiplicative_sets(M.ring):
             try:
-                t = S.product
-                e = M.ring.stable_idempotent_raw(t)
+                e = M.ring.stable_idempotent_raw(S.product)
                 if e not in loc_cache:
                     loc_cache[e] = localize_module(M, S)
                 locm = loc_cache[e]
@@ -553,78 +465,49 @@ def _suite_localization(params):
                 continue
             full_loc = (1 << locm.module.order) - 1
             for N in lat.proper:
-                checked += 1
                 sn = localize_submodule(N, locm)
                 n_gsdf = cached_check("gsdf", N).holds
-                if sn.mask != full_loc:
-                    if n_gsdf and not cached_check("gsdf", sn).holds:
-                        violations.append(
-                            (f"Z{n}, S={S}: S^-1N not gsdf for N={N.describe()}",
-                             cached_check("gsdf", sn)),
-                        )
-                    if (
-                        not n_gsdf
-                        and cached_check("gsdf", sn).holds
-                        and saturate(N, S) == N
-                    ):
-                        violations.append(
-                            (f"Z{n}, S={S}: saturated N={N.describe()} not gsdf", None)
-                        )
+                if sn.mask == full_loc or n_gsdf == cached_check("gsdf", sn).holds:
+                    yield None
+                elif n_gsdf:
+                    yield (f"Z{n}, S={S}: S^-1N not gsdf for N={N.describe()}",
+                           cached_check("gsdf", sn))
+                else:
+                    yield None if saturate(N, S) != N else (
+                        f"Z{n}, S={S}: saturated N={N.describe()} not gsdf", None
+                    )
         if n == 12:
             inst = localize_module(M, MultiplicativeSet(M.ring, [4]))
-            confirmations["z12_s14"] = {
-                "idempotent": inst.ring.idempotent,
-                "ring_order": inst.ring.ring.order,
-            }
-    return checked, violations, confirmations, {
-        "ring_ns": ring_ns,
-        "degenerate_skipped": skipped_degenerate,
-    }
+            confirmations["z12_s14"] = {"idempotent": inst.ring.idempotent,
+                                         "ring_order": inst.ring.ring.order}
+    return confirmations, {"degenerate_skipped": skipped_degenerate}
 
 
-def _suite_epimorphism(params):
+def _suite_epimorphism(*, max_n=60):
     """Along a module epimorphism: images of gsdf submodules containing the
     kernel are gsdf; preimages of gsdf submodules are gsdf when proper."""
-    max_n = params.get("max_n", 60)
-    checked = 0
-    violations = []
     for M in zn_family(max_n):
         lat = all_submodules(M)
         for K in lat.proper:
             Q, proj = quotient_module(M, K)
-            qlat = all_submodules(Q)
             for N in lat.proper:
                 if K.mask & ~N.mask:
                     continue
-                checked += 1
-                if cached_check("gsdf", N).holds:
-                    img = proj.image_submodule(N)
-                    if not cached_check("gsdf", img).holds:
-                        violations.append(
-                            (f"{M.name}/{K.describe()}: image of N={N.describe()}",
-                             cached_check("gsdf", img)),
-                        )
-            for NP in qlat.proper:
-                checked += 1
-                if cached_check("gsdf", NP).holds:
-                    pre = proj.preimage_submodule(NP)
-                    if pre.is_proper and not cached_check("gsdf", pre).holds:
-                        violations.append(
-                            (f"{M.name}/{K.describe()}: preimage of N'={NP.describe()}",
-                             cached_check("gsdf", pre)),
-                        )
-    return checked, violations, {}, {"max_n": max_n}
+                img = proj.image_submodule(N) if cached_check("gsdf", N).holds else None
+                bad = img is not None and not cached_check("gsdf", img).holds
+                yield (f"{M.name}/{K.describe()}: image of N={N.describe()}",
+                       cached_check("gsdf", img)) if bad else None
+            for NP in all_submodules(Q).proper:
+                pre = proj.preimage_submodule(NP) if cached_check("gsdf", NP).holds else None
+                bad = pre is not None and pre.is_proper and not cached_check("gsdf", pre).holds
+                yield (f"{M.name}/{K.describe()}: preimage of N'={NP.describe()}",
+                       cached_check("gsdf", pre)) if bad else None
+    return {}, {}
 
 
-def _suite_restriction_quotient(params):
+def _suite_restriction_quotient(*, max_n=60):
     """Restriction to a smaller module and passage to quotients: N cap M1 is
     gsdf in M1 <= M2, and N gsdf <=> N/K gsdf."""
-    from .constructions import quotient_submodule
-    from .modules import SubcarrierModule
-
-    max_n = params.get("max_n", 60)
-    checked = 0
-    violations = []
     for M in zn_family(max_n):
         lat = all_submodules(M)
         gsdf_members = [N for N in lat.proper if cached_check("gsdf", N).holds]
@@ -636,33 +519,25 @@ def _suite_restriction_quotient(params):
                 inter = N.mask & P.mask
                 if inter == P.mask:
                     continue  # N cap M1 = M1, not proper
-                checked += 1
                 NN = Submodule(M1, [M1.from_base(i) for i in indices_of(inter)], _trusted=True)
-                if not cached_check("gsdf", NN).holds:
-                    violations.append(
-                        (f"{M.name}: ({N.describe()} cap {P.describe()}) in M1", None)
-                    )
+                yield None if cached_check("gsdf", NN).holds else (
+                    f"{M.name}: ({N.describe()} cap {P.describe()}) in M1", None
+                )
         for K in lat.proper:
             for N in lat.proper:
                 if K.mask & ~N.mask:
                     continue
-                checked += 1
                 NK = quotient_submodule(N, K)
-                if cached_check("gsdf", N).holds != cached_check("gsdf", NK).holds:
-                    violations.append(
-                        (f"{M.name}: N={N.describe()} K={K.describe()} quotient mismatch", None)
-                    )
-    return checked, violations, {}, {"max_n": max_n}
+                yield None if cached_check("gsdf", N).holds == cached_check("gsdf", NK).holds else (
+                    f"{M.name}: N={N.describe()} K={K.describe()} quotient mismatch", None
+                )
+    return {}, {}
 
 
-def _suite_intersection(params):
+def _suite_intersection(*, max_n=30):
     """Intersections of gsdf pairs whose colon radicals agree outside the
     intersection stay gsdf; the hypothesis is necessary (Z21 instance)."""
-    max_n = params.get("max_n", 30)
-    checked = 0
     skipped = 0
-    violations = []
-    confirmations = {}
     rad_cache: dict = {}
 
     def colon_radical_mask(N, x):
@@ -677,152 +552,109 @@ def _suite_intersection(params):
         for i, N1 in enumerate(gsdf_members):
             for N2 in gsdf_members[i:]:
                 inter_mask = N1.mask & N2.mask
-                hypothesis = all(
+                if not all(
                     colon_radical_mask(N1, x) == colon_radical_mask(N2, x)
                     for x in range(M.order)
                     if not inter_mask >> x & 1
-                )
-                if not hypothesis:
+                ):
                     skipped += 1
                     continue
-                checked += 1
                 inter = Submodule(M, indices_of(inter_mask), _trusted=True)
-                if not cached_check("gsdf", inter).holds:
-                    violations.append(
-                        (f"{M.name}: {N1.describe()} cap {N2.describe()}", None)
-                    )
+                yield None if cached_check("gsdf", inter).holds else (
+                    f"{M.name}: {N1.describe()} cap {N2.describe()}", None
+                )
     # Z21 counterexample: (3) cap (7) = (0) is not gsdf; the quoted witness
     # (5,2,2) replays as a genuine violation
     M21 = zn_module(21)
     z = zero_submodule(M21)
     rep = cached_check("gsdf", z)
-    confirmations["z21_intersection_fails"] = not rep.holds
-    confirmations["z21_scan_witness"] = rep.witness.as_tuple() if rep.witness else None
-    confirmations["z21_witness_5_2_2_replays"] = replay_witness("gsdf", z, 5, 2, 2)
-    confirmations["z21_factors_gsdf"] = (
-        cached_check("gsdf", span(M21, [3])).holds
-        and cached_check("gsdf", span(M21, [7])).holds
-    )
-    return checked, violations, confirmations, {"max_n": max_n, "hypothesis_skipped": skipped}
+    confirmations = {
+        "z21_intersection_fails": not rep.holds,
+        "z21_scan_witness": rep.witness.as_tuple() if rep.witness else None,
+        "z21_witness_5_2_2_replays": replay_witness("gsdf", z, 5, 2, 2),
+        "z21_factors_gsdf": all(cached_check("gsdf", span(M21, [d])).holds for d in (3, 7)),
+    }
+    return confirmations, {"hypothesis_skipped": skipped}
 
 
-def _suite_chain_union(params):
+def _suite_chain_union(*, max_n=60):
     """The top (= union) of every maximal chain of gsdf-absorbing submodules
     is gsdf-absorbing."""
-    max_n = params.get("max_n", 60)
-    checked = 0
-    violations = []
     for M in zn_family(max_n):
         lat = all_submodules(M)
-        gsdf_members = [N for N in lat.proper if cached_check("gsdf", N).holds]
-        for chain in _maximal_chains(gsdf_members):
-            checked += 1
+        for chain in _maximal_chains([N for N in lat.proper if cached_check("gsdf", N).holds]):
             union_mask = 0
             for N in chain:
                 union_mask |= N.mask
             top = chain[-1]
-            if union_mask != top.mask or not cached_check("gsdf", top).holds:
-                violations.append(
-                    (f"{M.name}: chain top {top.describe()}", None)
-                )
-    return checked, violations, {}, {"max_n": max_n}
+            ok = union_mask == top.mask and cached_check("gsdf", top).holds
+            yield None if ok else (f"{M.name}: chain top {top.describe()}", None)
+    return {}, {}
 
 
-def _maximal_chains(members):
-    """All maximal chains in a small poset of submodules (by inclusion)."""
-    below = {
-        id(N): [P for P in members if P.mask != N.mask and P.mask & ~N.mask == 0]
-        for N in members
-    }
-    tops = [N for N in members if not any(N.mask & ~P.mask == 0 and N.mask != P.mask for P in members)]
-    chains = []
-
-    def extend(chain):
-        last = chain[0]
-        preds = [
-            P
-            for P in below[id(last)]
-            if not any(P.mask & ~Q.mask == 0 and P.mask != Q.mask for Q in below[id(last)])
-        ]
-        if not preds:
-            chains.append(chain)
-            return
-        for P in preds:
-            extend([P] + chain)
-
-    for t in tops:
-        extend([t])
-    return chains
+def _maximal_chains(members, chain=()):
+    """The maximal chains of a poset of submodules, bottom first: each chain
+    grows down by every cover of its bottom, taken in the order of members."""
+    below = [P for P in members if not chain or P < chain[0]]
+    covers = [P for P in below if not any(P < Q for Q in below)]
+    if chain and not covers:
+        yield chain
+    for P in covers:
+        yield from _maximal_chains(members, (P, *chain))
 
 
-def _suite_product(params):
+def _suite_product(*, max_ab=12):
     """Products: N1 x N2 gsdf forces both factors gsdf; N1 x M2 (and
     M1 x N2) is gsdf iff the proper factor is; plus the two known failures
     of the converse for N1 x N2."""
-    max_ab = params.get("max_ab", 12)
-    checked = 0
-    violations = []
-    confirmations = {}
     for P in product_family(max_ab):
-        m1, m2 = P.m1, P.m2
-        lat1 = [N for N in all_submodules(m1).members]
-        lat2 = [N for N in all_submodules(m2).members]
-        full1 = full_submodule(m1)
-        full2 = full_submodule(m2)
+        lat1, lat2 = all_submodules(P.m1).members, all_submodules(P.m2).members
         for N1 in lat1:
             for N2 in lat2:
                 if not N1.is_proper and not N2.is_proper:
                     continue
-                NP = product_submodule(P, N1, N2)
-                prod_gsdf = cached_check("gsdf", NP).holds
-                checked += 1
+                prod_gsdf = cached_check("gsdf", product_submodule(P, N1, N2)).holds
                 if N1.is_proper and N2.is_proper:
                     # part (1): product gsdf forces both factors gsdf
-                    if prod_gsdf and not (
+                    part = 1
+                    ok = not prod_gsdf or (
                         cached_check("gsdf", N1).holds and cached_check("gsdf", N2).holds
-                    ):
-                        violations.append(
-                            (f"{P.name}: {N1.describe()} x {N2.describe()} part(1)", None)
-                        )
-                elif N2 == full2:
-                    if prod_gsdf != cached_check("gsdf", N1).holds:
-                        violations.append(
-                            (f"{P.name}: {N1.describe()} x M2 part(2)", None)
-                        )
-                elif N1 == full1:
-                    if prod_gsdf != cached_check("gsdf", N2).holds:
-                        violations.append(
-                            (f"{P.name}: M1 x {N2.describe()} part(3)", None)
-                        )
+                    )
+                elif N1.is_proper:  # part (2): N1 x M2
+                    part, ok = 2, prod_gsdf == cached_check("gsdf", N1).holds
+                else:  # part (3): M1 x N2
+                    part, ok = 3, prod_gsdf == cached_check("gsdf", N2).holds
+                yield None if ok else (
+                    f"{P.name}: {N1.describe() if N1.is_proper else 'M1'} x "
+                    f"{N2.describe() if N2.is_proper else 'M2'} part({part})",
+                    None,
+                )
     # counterexample 1: zero submodule of Z10 x Z9 (both factors gsdf)
     R90 = make_zmod(90)
     P109 = ProductModule(CyclicModule(R90, 10), CyclicModule(R90, 9))
     z109 = zero_submodule(P109)
     rep = cached_check("gsdf", z109)
     wx = P109.literal_to_index((2, 3))
-    confirmations["z10xz9_not_gsdf"] = not rep.holds
-    confirmations["z10xz9_witness_replays"] = replay_witness("gsdf", z109, 4, 1, wx)
+    confirmations = {
+        "z10xz9_not_gsdf": not rep.holds,
+        "z10xz9_witness_replays": replay_witness("gsdf", z109, 4, 1, wx),
+    }
     # counterexample 2: zero x zero over Z3 x Z3 (characteristic 2n-1 = 3,
     # n = 2), with u = (2,2), v = (1,2) violating
     R33 = ProductRing(make_zmod(3), make_zmod(3))
-    M33 = R33.as_module
-    z33 = zero_submodule(M33)
+    z33 = zero_submodule(R33.as_module)
     u = R33.literal_to_index((2, 2))
     v = R33.literal_to_index((1, 2))
     x = R33.literal_to_index((1, 1))
     confirmations["z3xz3_not_gsdf"] = not cached_check("gsdf", z33).holds
     confirmations["z3xz3_char_witness_replays"] = replay_witness("gsdf", z33, u, v, x)
-    return checked, violations, confirmations, {"max_ab": max_ab}
+    return confirmations, {}
 
 
-def _suite_idealization(params):
+def _suite_idealization(*, ns=(2, 3, 4, 6, 8)):
     """Idealization: sqrt(I x N) = sqrt(I) x M; I x N sdf-primary forces I
     sdf-primary; I sdf-primary <=> I x M sdf-primary; plus the two set-wise
     examples on non-ideal subsets."""
-    ns = params.get("ns", (2, 3, 4, 6, 8))
-    checked = 0
-    violations = []
-    confirmations = {}
     for n in ns:
         R = make_zmod(n)
         M = R.as_module
@@ -836,71 +668,64 @@ def _suite_idealization(params):
                 if not is_ideal or subset.mask == full_ring:
                     continue
                 IN = Submodule(AM, subset.indices, _trusted=True)
-                checked += 1
                 # radical identity
                 want = {A.pack(r, x) for r in radical(I).indices for x in range(M.order)}
                 if set(radical(IN).indices) != want:
-                    violations.append((f"Z{n}: sqrt(({I.describe()}) x {N.describe()})", None))
+                    yield (f"Z{n}: sqrt(({I.describe()}) x {N.describe()})", None)
                 # Prop (1): I x N sdf-primary => I sdf-primary
-                if cached_check("sdfprimary", IN).holds and I.is_proper:
-                    if not cached_check("sdfprimary", I).holds:
-                        violations.append(
-                            (f"Z{n}: Prop(1) {I.describe()} x {N.describe()}", None)
-                        )
+                elif (
+                    cached_check("sdfprimary", IN).holds
+                    and I.is_proper
+                    and not cached_check("sdfprimary", I).holds
+                ):
+                    yield (f"Z{n}: Prop(1) {I.describe()} x {N.describe()}", None)
+                else:
+                    yield None
             # Prop (2): I sdf-primary <=> I x M sdf-primary
             if I.is_proper:
-                checked += 1
-                IM = Submodule(
-                    AM,
-                    [A.pack(r, x) for r in I.indices for x in range(M.order)],
-                    _trusted=True,
-                )
-                if cached_check("sdfprimary", I).holds != cached_check("sdfprimary", IM).holds:
-                    violations.append((f"Z{n}: Prop(2) I={I.describe()}", None))
+                IM = Submodule(AM, [A.pack(r, x) for r in I.indices for x in range(M.order)],
+                               _trusted=True)
+                ok = cached_check("sdfprimary", I).holds == cached_check("sdfprimary", IM).holds
+                yield None if ok else (f"Z{n}: Prop(2) I={I.describe()}", None)
     # set-wise example: (3) x (2) in Z6 x Z6 is not an ideal and fails the
     # sdf-primary condition; the quoted witness has first components (2,1)
     # and (5,0)
     R6 = make_zmod(6)
     A6 = IdealizationRing(R6, R6.as_module)
     subset, is_ideal = idealization_subset(A6, span(R6.as_module, [3]), span(R6.as_module, [2]))
-    rep = setwise_sdf_primary(subset)
     u = A6.literal_to_index((2, 1))
     v = A6.literal_to_index((5, 0))
-    confirmations["z6_3x2_is_ideal"] = is_ideal
-    confirmations["z6_3x2_setwise_holds"] = rep.holds
-    confirmations["z6_3x2_witness_replays"] = replay_witness("sdfprimary", subset, u, v)
+    confirmations = {
+        "z6_3x2_is_ideal": is_ideal,
+        "z6_3x2_setwise_holds": setwise_sdf_primary(subset).holds,
+        "z6_3x2_witness_replays": replay_witness("sdfprimary", subset, u, v),
+    }
     # the 42Z-style example: (2) x (0) in Z42 x Z42 satisfies the set-wise
     # sdf-primary condition even though (0) is not gsdf in Z42
     R42 = make_zmod(42)
     A42 = IdealizationRing(R42, R42.as_module)
-    s42, ideal42 = idealization_subset(A42, span(R42.as_module, [2]), zero_submodule(R42.as_module))
     z42 = zero_submodule(R42.as_module)
+    s42, ideal42 = idealization_subset(A42, span(R42.as_module, [2]), z42)
     confirmations["z42_2x0_is_ideal"] = ideal42
     confirmations["z42_2x0_setwise_holds"] = setwise_sdf_primary(s42).holds
     confirmations["z42_zero_not_gsdf"] = not cached_check("gsdf", z42).holds
     confirmations["z42_witness_5_2_2_replays"] = replay_witness("gsdf", z42, 5, 2, 2)
-    return checked, violations, confirmations, {"ns": ns}
+    return confirmations, {}
 
 
-def _suite_amalgamation(params):
+def _suite_amalgamation(*, ring_ns=(6, 12)):
     """N1 join J M2 is gsdf in the amalgamated module iff N1 is gsdf in M1;
     the corresponding fact for the second-component submodules is swept and
     recorded without being asserted."""
-    ring_ns = params.get("ring_ns", (6, 12))
-    checked = 0
-    violations = []
     n2bar_agrees = 0
     n2bar_total = 0
-    from .constructions import amalg_submodule_n2
-
-    for AM, m1, J, desc in amalgamation_instances(ring_ns):
+    for AM, m1, _J, desc in amalgamation_instances(ring_ns):
         for N1 in all_submodules(m1).proper:
-            checked += 1
-            joined = amalg_submodule_n1(AM, N1)
-            lhs = cached_check("gsdf", joined).holds
+            lhs = cached_check("gsdf", amalg_submodule_n1(AM, N1)).holds
             rhs = cached_check("gsdf", N1).holds
-            if lhs != rhs:
-                violations.append((f"{desc}: N1={N1.describe()} join={lhs} base={rhs}", None))
+            yield None if lhs == rhs else (
+                f"{desc}: N1={N1.describe()} join={lhs} base={rhs}", None
+            )
         for N2 in all_submodules(AM.m2).proper:
             bar = amalg_submodule_n2(AM, N2)
             if not bar.is_proper:
@@ -908,8 +733,7 @@ def _suite_amalgamation(params):
             n2bar_total += 1
             if cached_check("gsdf", bar).holds == cached_check("gsdf", N2).holds:
                 n2bar_agrees += 1
-    confirmations = {"n2bar_agrees": n2bar_agrees, "n2bar_total": n2bar_total}
-    return checked, violations, confirmations, {"ring_ns": ring_ns}
+    return {"n2bar_agrees": n2bar_agrees, "n2bar_total": n2bar_total}, {}
 
 
 # suite id -> (statement, suite, the scalar size parameter `verify --max`
@@ -972,15 +796,34 @@ def size_parameter(suite_id: str) -> str | None:
 
 
 def run_suite(suite_id: str, params: dict | None = None) -> SuiteReport:
+    """Run a suite, counting the instances it yields and the violations
+    among them; ``params`` may set only the suite's keyword parameters."""
     statement, fn, _ = _catalog_entry(suite_id)
+    params = params or {}
+    defaults = fn.__kwdefaults__ or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise AbsorbError(
+            f"suite {suite_id!r} has no parameter {', '.join(map(repr, unknown))}; "
+            f"its parameters: {', '.join(defaults) or 'none'}"
+        )
     t0 = time.perf_counter()
-    checked, violations, confirmations, parameters = fn(params or {})
+    checked, violations = 0, []
+    suite = fn(**params)
+    try:
+        while True:
+            violation = next(suite)
+            checked += 1
+            if violation is not None:
+                violations.append(violation)
+    except StopIteration as done:
+        confirmations, extra = done.value
     return SuiteReport(
         suite_id=suite_id,
         statement=statement,
         instances_checked=checked,
         violations=violations,
         elapsed=time.perf_counter() - t0,
-        parameters=parameters,
+        parameters={**defaults, **params, **extra},
         confirmations=confirmations,
     )

@@ -361,6 +361,26 @@ def naive_hit_rows(M, target_mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def naive_is_reduced(M) -> bool:
+    """No u and x with u^2.x = 0 but u.x != 0, by one loop over the pairs:
+    the reduced-module filter the suites used before they read the
+    nilradical."""
+    R = M.ring
+    for u in range(R.order):
+        u2 = R.mul(u, u)
+        for x in range(M.order):
+            if M.act(u2, x) == M.zero and M.act(u, x) != M.zero:
+                return False
+    return True
+
+
+def naive_is_vnr(R) -> bool:
+    """Every a has an x with a x a = a: von Neumann regularity by definition."""
+    return all(
+        any(R.mul(R.mul(a, x), a) == a for x in range(R.order)) for a in range(R.order)
+    )
+
+
 def naive_all_submodules(M) -> list[tuple[int, ...]]:
     """The sorted index tuples of every submodule of M, ordered by size: the
     set of cyclic submodules closed under join with a cyclic one, each join

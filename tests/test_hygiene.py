@@ -1,6 +1,7 @@
 """Every name a module of ``absorb`` imports is used in that module, every
 top-level function, class and constant of a module is named somewhere in the
-package, and no module imports ``random``: no library path samples.
+package, no module imports ``random`` (no library path samples), and no
+module reads an instance's ``__dict__``.
 
 ``__init__.py`` is left out of the first check: its imports are the package's
 public surface, and so a name it imports counts as used by the second.  A
@@ -50,6 +51,19 @@ def test_no_module_imports_random(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert "random" not in imported
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_reads_an_instance_dict(path):
+    """Taking an instance's ``__dict__`` makes CPython keep a separate dict
+    for it, and every later attribute read on it slower: caches on an
+    instance go through ``getattr`` and plain assignment."""
+    reads = [
+        node.lineno
+        for node in ast.walk(TREES[path.name])
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+    assert reads == []
 
 
 def _named_in_package() -> set[str]:

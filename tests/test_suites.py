@@ -4,13 +4,14 @@ import json
 from math import gcd
 
 import pytest
-from conftest import naive_gsdf_zero_zn, walk_gsdf_zero_zn
+from conftest import naive_gsdf_zero_zn, naive_is_reduced, naive_is_vnr, walk_gsdf_zero_zn
 
 from absorb import suites
-from absorb.errors import UnknownSuiteError
+from absorb.cli import main
+from absorb.errors import AbsorbError, UnknownSuiteError
 from absorb.modules import zero_submodule
-from absorb.predicates import is_gsdf_absorbing
-from absorb.rings import make_zmod
+from absorb.predicates import PROPERTY_CHECKS, is_gsdf_absorbing
+from absorb.rings import ProductRing, make_zmod
 from absorb.suites import (
     SUITE_IDS,
     classify_zn,
@@ -248,3 +249,69 @@ def test_idealization_suite_confirmations():
 def test_localization_suite_confirmation():
     report = run_suite("localization")
     assert report.confirmations["z12_s14"] == {"idempotent": 4, "ring_order": 3}
+
+
+def test_the_reduced_filter_matches_the_element_loops():
+    """The nilradical test the reduced-zero and vnr suites filter Z_n by
+    agrees with both element loops, on Z_n and on the vnr suite's products
+    of prime fields, which are reduced."""
+    products = [ProductRing(make_zmod(p), make_zmod(q)).as_module
+                for p, q in ((2, 3), (2, 5), (3, 5), (2, 7))]
+    for M in [make_zmod(n).as_module for n in range(2, 101)] + products:
+        reduced = suites._is_reduced(M)
+        assert reduced == naive_is_reduced(M) == naive_is_vnr(M.ring), M.name
+        assert reduced or M not in products
+
+
+@pytest.fixture
+def gsdf_always_fails(monkeypatch):
+    """Every gsdf check reports the failing verdict of (0) in Z21, through a
+    verdict cache of its own."""
+    failing = is_gsdf_absorbing(zero_submodule(make_zmod(21).as_module))
+    assert not failing.holds
+    monkeypatch.setattr(suites, "_VERDICTS", {})
+    monkeypatch.setitem(PROPERTY_CHECKS, "gsdf", lambda N, **kw: failing)
+    return failing
+
+
+def test_run_suite_counts_every_violation(gsdf_always_fails):
+    report = run_suite("char2")
+    assert report.instances_checked == 10 and not report.passed
+    assert len(report.violations) == 10
+    assert all(
+        isinstance(text, str) and rep is gsdf_always_fails for text, rep in report.violations
+    )
+
+
+def test_verify_exits_1_on_a_violation(gsdf_always_fails, capsys):
+    assert main(["verify", "--suite", "char2", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holds"] is False and len(doc["violations"]) == 10
+
+
+def test_agreement_suites_name_both_verdicts(gsdf_always_fails):
+    report = run_suite("unit2", {"max_n": 5})
+    assert report.instances_checked == 2
+    assert [text for text, _ in report.violations] == [
+        "Z3 (as module): N=<0> gsdf=False cprimary=True",
+        "Z5 (as module): N=<0> gsdf=False cprimary=True",
+    ]
+
+
+@pytest.mark.parametrize("suite_id, params, names", [
+    ("unit2", {"maxn": 5}, "max_n"),
+    ("char2", {"max_n": 5}, "none"),
+])
+def test_run_suite_refuses_an_unknown_parameter(suite_id, params, names):
+    with pytest.raises(AbsorbError, match=f"its parameters: {names}$") as exc:
+        run_suite(suite_id, params)
+    assert not isinstance(exc.value, TypeError)
+
+
+def test_reported_parameters_keep_their_order():
+    """The suite's keyword defaults come first, overridden in place, then the
+    parameters the suite adds."""
+    assert list(run_suite("unit2", {"max_n": 9}).parameters.items()) == [
+        ("max_n", 9), ("parity", "odd"),
+    ]
+    assert list(run_suite("localization").parameters) == ["ring_ns", "degenerate_skipped"]
