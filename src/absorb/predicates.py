@@ -3,52 +3,44 @@ ideals, with exact first-failure witnesses.
 
 Every scanner works on hit rows: for a scalar t, ``hit[t]`` is the bit mask
 of the module elements x with t.x in N, so a whole x-row is tested with a
-few integer operations.  An ideal-level or set-wise check reads the same
-condition at x = 1: its rows are one bit wide, ``hit[t] = t in I``.
+few integer operations.  An ideal-level check reads the same condition at
+x = 1: its rows are one bit wide, ``hit[t] = t in I``.
 
-Two kernels decide the properties, and the scan order of each property
-fixes which witness is reported first.
+One kernel, on associate classes, decides all seven properties; the scan
+order of each property fixes which witness is reported first.  The target
+N (a submodule, or an ideal of R over itself) is closed under
+multiplication by units, so for a unit w, hit[wt] = hit[t]: a hit row
+depends only on the class [t] of t under t ~ wt (``FiniteRing.unit_classes``),
+whose representative is its least member.
 
-* **Associate classes** (gsdf, classical primary, prime, primary).  N is
-  closed under multiplication by units, so for a unit w, hit[wt] = hit[t]:
-  a hit row depends only on the class [t] of t under t ~ wt
-  (``FiniteRing.unit_classes``), whose representative is its least member.
-  Classical primary fails at (u, v) on ``hit[uv] & ~hit[u] & ~reach(v)``,
+* Classical primary fails at (u, v) on ``hit[uv] & ~hit[u] & ~reach(v)``,
   reach(v) being the x that some power of v sends into N; that mask depends
   only on ([u], [v]), as (w1 u)(w2 v) = w1 w2 uv and the powers of wv lie
-  in the classes of the powers of v.  gsdf fails at (u, v) on the same mask
-  taken at ([u - v], [u + v]), as (u - v)(u + v) = u^2 - v^2, so one table
-  of failing class pairs (``_class_failures``) serves both.  A class pair
-  (A, B) occurs as ([u - v], [u + v]) exactly when A and B meet a common
-  coset of 2R: s - d = 2v is solved by u = d + v, and -1 is a unit, so the
-  u >= v half reaches every such pair.  When 2 is a unit every class pair
-  occurs, and gsdf is then classical primary.
-  - gsdf tests only the occurring class pairs (B among A's ``meets``), and
-    holds when none fails; otherwise the pairs u >= v are walked, u
-    ascending and v up to u, to the first one in a failing class pair,
-    whose mask gives x.
-  - Classical primary's order is u, then v, over the whole square, so its
-    first failure is the least failing class pair, at its representatives;
-    the class pairs are tested in ascending order and stop at the first that
-    fails.
-  - Prime and primary (u ascending; the scalars of (N :_R M), or of its
-    radical, are skipped) visit class representatives only, as the colon
-    ideal and its radical are unions of classes.
-* **Square difference** (sdf, sdf-absorbing and sdf-primary ideals, the
-  set-wise sdf-primary condition): one core, ``_sd_scan``.  sdf puts u and
-  v, not u - v and u + v, outside Ann(x), and a bare subset is not closed
-  under units, so these keep the element-pair scan.  sdf first tests the
-  occurring class pairs as gsdf does, with the mask ``hit[ds] & ~hit[d] &
-  ~hit[s]``: every x at which sdf fails at (u, v) lies in it at ([u - v],
-  [u + v]), so when no occurring pair fails sdf holds and the scan is
-  skipped; its report is the scan's all the same.  The hypothesis is
-  symmetric in (u, v), so it walks u ascending and v up to u, the u >= v
-  half only, with x innermost.  When the target S is an additive subgroup
-  (an ideal, or a set-wise subset found to be one, such as every I x N in
-  an idealization), u^2 - v^2 lies in S exactly when u^2 and v^2 lie in the
-  same coset of S, so v walks only the bucket of elements whose square
-  shares u^2's coset; every pair it skips fails the hypothesis, and the
-  first failure is the same.
+  in the classes of the powers of v.  Its order is u, then v, over the whole
+  square, so its first failure is the least failing class pair, at its
+  representatives (``_class_failures``).
+* gsdf and the sdf-primary ideal condition fail at (u, v) on the same mask
+  taken at ([u - v], [u + v]), as (u - v)(u + v) = u^2 - v^2.  sdf and the
+  sdf-absorbing ideal condition take hit[u + v] for reach(u + v) (k = 1),
+  and sdf keeps only the x with u.x and v.x nonzero.  A class pair (A, B)
+  occurs as ([u - v], [u + v]) exactly when A and B meet a common coset of
+  2R: s - d = 2v is solved by u = d + v, and -1 is a unit, so the u >= v
+  half reaches every such pair.  The occurring class pairs are tested
+  first, and the property holds when none fails; otherwise ``_walk`` steps
+  through the pairs u >= v, u ascending and v up to u, to the first one
+  whose class pair fails, computing each class pair's mask when it first
+  meets it.  The hypothesis is symmetric in (u, v), so the u >= v half is
+  the whole order.  When u and v range over nonzero elements only
+  (sdf-absorbing ideals, ``nonzero_only``), the pairs are fewer, so a class
+  test that finds no failure still decides the property; the walk may then
+  find none either.
+* Prime and primary (u ascending; the scalars of (N :_R M), or of its
+  radical, are skipped) visit class representatives only, as the colon
+  ideal and its radical are unions of classes.
+
+A bare subset of R (``RingSubset``) is not closed under units, so the
+set-wise sdf-primary condition walks its element pairs
+(``setwise_sdf_primary``).
 
 ``checked_count`` is the witness's position in its property's scan order,
 a closed form, or the whole order when the property holds.
@@ -67,6 +59,7 @@ from .modules import (
     mask_of,
     radical,
 )
+from .rings import element_index
 
 
 @dataclass(frozen=True)
@@ -152,138 +145,91 @@ def _is_additive_subgroup(S) -> bool:
     return S.contains(S.ring.zero) and all(mask >> add(a, b) & 1 for a in idx for b in idx)
 
 
-class _OpRow:
-    """Row u of a binary operation of a ring above 256 elements, which has no
-    tables: entry v is ``op(u, v)``, computed when it is read."""
-
-    __slots__ = ("op", "u")
-
-    def __init__(self, op, u: int):
-        self.op, self.u = op, u
-
-    def __getitem__(self, v: int) -> int:
-        return self.op(self.u, v)
+def _unreached(R, hit, b: int, powers: bool = True) -> int:
+    """The x in hit[0] that no power of b sends into N (0.x = 0 lies in N),
+    or with ``powers=False`` that b itself does not: the last factor of a
+    class pair's failure mask."""
+    return hit[R.zero] & ~(_power_reach_mask(R, hit, b) if powers else hit[b])
 
 
-def _sd_rows(R):
-    """``(rows, sq)`` for the square-difference scan: ``rows(u)`` is (d, s,
-    h) with d[v] = u - v, s[v] = u + v and h[v] = u^2 - v^2, which is
-    (u - v)(u + v) as R is commutative, and sq[v] = v^2.  With tables, each
-    row is one translate of an add row; rings above 256 elements compute each
-    entry on demand."""
-    n, add_t = R.order, R.add_t
-    if add_t is None:
-        sub, sq = R.sub, [R.mul(v, v) for v in range(n)]
+def _class_failures(R, hit, unreached: dict, meets=None, powers: bool = True):
+    """The first failing class pair, ((A, B), mask), in ascending order of A
+    and then B, over every class pair, or with ``meets`` over the B of
+    ``meets[A]`` only; None when none fails.
 
-        def minus_sq(a, v):
-            return sub(a, sq[v])
-
-        return (lambda u: (_OpRow(sub, u), _OpRow(R.add, u), _OpRow(minus_sq, sq[u]))), sq
-    neg_t, mul_t, pad = R.neg_t, R.mul_t, bytes(256 - n)
-    sq = bytes(mul_t[v][v] for v in range(n))
-    neg_sq = sq.translate(neg_t + pad)  # neg_sq[v] = -v^2
-    return (lambda u: (neg_t.translate(add_t[u] + pad), add_t[u],
-                       neg_sq.translate(add_t[sq[u]] + pad))), sq
-
-
-def _sd_scan(R, hit, width: int, start: int = 0, ann=None, coset=None):
-    """The square-difference scan: (u^2 - v^2).x in N implies (u - v).x in
-    N or a conclusion on u + v.  Without ``ann`` that conclusion is
-    (u + v)^k.x in N for some k >= 1, its reach cached per u + v; with
-    ``ann`` it is (u + v).x in N, and only x outside ``ann[u] | ann[v]``
-    count.  u ascends from ``start`` and v runs from ``start`` to u.
-
-    For each u, one list comprehension over u's rows (``_sd_rows``) keeps
-    the v whose hypothesis holds and whose (u - v) conclusion fails; only
-    those reach the conclusion test on u + v, in scan order.
-
-    ``coset`` (one-bit rows only, the ``coset_ids`` of an additive subgroup
-    S) buckets the elements by the coset of their square: u appends
-    itself to its bucket, and v walks that bucket in ascending order instead
-    of every element up to u.  The pairs skipped are the ones with u^2 - v^2
-    outside S, and on the bucket it lies in S, so only u - v is tested.
-
-    Returns the first failure (u, v, x, k_bound), or None, and its position
-    in the u >= v order of pairs from ``start`` (all T(T+1)/2 pairs, with
-    T = |R| - start, when none fails) times ``width``."""
-    rows, sq = _sd_rows(R)
-    reach: dict[int, int] = {}
-    buckets: dict[int, list[int]] = {}
-    for u in range(start, R.order):
-        d, s, h = rows(u)
-        if coset is None:
-            kept = [(v, b) for v in range(start, u + 1) if (b := hit[h[v]] & ~hit[d[v]])]
-        else:
-            vs = buckets.setdefault(coset[sq[u]], [])
-            vs.append(u)
-            kept = [(v, 1) for v in vs if not hit[d[v]]]
-        for v, bad in kept:
-            t = s[v]
-            if ann is not None:
-                bad &= ~(hit[t] | ann[u] | ann[v])
-            else:
-                if t not in reach:
-                    reach[t] = _power_reach_mask(R, hit, t)
-                bad &= ~reach[t]
-            if bad:
-                k = 1 if ann is not None else _orbit_len(R, t)
-                i = u - start
-                return (u, v, _first_bit(bad), k), (i * (i + 1) // 2 + v - start + 1) * width
-    t = R.order - start
-    return None, t * (t + 1) // 2 * width
-
-
-def _class_failures(R, hit, meets=None, first: bool = False, powers: bool = True) -> dict:
-    """The failing class pairs, {(A, B): mask}, in ascending order of A and
-    then B: over every class pair, or with ``meets`` over the B of
-    ``meets[A]`` only, and with ``first`` up to the first failure only.  The
-    mask is ``hit[ab] & ~hit[a] & ~reach(b)`` at the representatives a of A
-    and b of B, where that is not empty.  It is classical primary's failure
-    mask of every (u, v) in A x B, and gsdf's of every (u, v) with
-    ([u - v], [u + v]) = (A, B).  Without ``powers`` the mask is
-    ``hit[ab] & ~hit[a] & ~hit[b]``, which holds every x at which sdf fails
-    at such a (u, v).
+    The failure mask of (A, B) is ``hit[ab] & ~hit[a] & ~reach(b)`` at the
+    representatives a of A and b of B, within hit[0] (``_unreached``).  It
+    is classical primary's failure mask of every (u, v) in A x B, and gsdf's
+    of every (u, v) with ([u - v], [u + v]) = (A, B).  Without ``powers``
+    reach(b) is hit[b], and the mask holds every x at which sdf fails at
+    such a (u, v).
 
     The class of 0 and the class of the units never fail, on either side:
     hit[0] is full, 0 reaches every x, and for a unit w, hit[wb] = hit[b]
-    lies in reach(b) and hit[aw] = hit[a].  reach(b) is computed when a
-    pair first needs it."""
+    lies in reach(b) and hit[aw] = hit[a].  Nor does a class whose row is
+    full.  ``unreached`` caches ``_unreached`` per b, computed when a pair
+    first needs it."""
     ids, reps, _ = R.unit_classes()
-    mul, full = R.mul, hit[R.zero]  # 0.x = 0 lies in N
+    mul, full = R.mul, hit[R.zero]
     never = 1 << ids[R.zero] | 1 << ids[R.one]
-    unreached: dict[int, int] = {}  # b -> full & ~reach(b)
-    failures = {}
     for A, a in enumerate(reps):
         outside = full & ~hit[a]
         if outside and not never >> A & 1:
             cols = (-1 if meets is None else meets[A]) & ~never
             for B, b in enumerate(reps):
-                if cols >> B & 1:
-                    bad = hit[mul(a, b)] & outside
-                    if bad:
-                        if b not in unreached:
-                            reach = _power_reach_mask(R, hit, b) if powers else hit[b]
-                            unreached[b] = full & ~reach
-                        bad &= unreached[b]
-                        if bad:
-                            failures[A, B] = bad
-                            if first:
-                                return failures
-    return failures
+                if cols >> B & 1 and (bad := hit[mul(a, b)] & outside):
+                    if b not in unreached:
+                        unreached[b] = _unreached(R, hit, b, powers)
+                    if bad := bad & unreached[b]:
+                        return (A, B), bad
+    return None
 
 
-def _gsdf_walk(R, ids, failures, width: int):
-    """gsdf's first failure in the u >= v order of the square-difference
-    scan: the first pair whose ([u - v], [u + v]) fails, with its position
-    times ``width``.  Called only when some failing class pair occurs, so it
-    always returns."""
-    add, sub = R.add, R.sub
-    for u in range(R.order):
-        for v in range(u + 1):
-            bad = failures.get((ids[sub(u, v)], ids[s := add(u, v)]))
+def _walk(R, hit, width: int, unreached: dict, start: int = 0, ann=None, powers: bool = True):
+    """The first pair u >= v >= start, u ascending and v up to u, whose class
+    pair ([u - v], [u + v]) fails, as (u, v, x, k_bound); with ``ann``, only
+    the x outside ``ann[u] | ann[v]`` count.  Each class pair's mask is the
+    one ``_class_failures`` tests, computed the first time the walk meets
+    the pair.  Returns the pair, or None, with its position in that order
+    times ``width``, or the whole T(T + 1)/2 pairs, T = |R| - start, when
+    none fails."""
+    ids, reps, _ = R.unit_classes()
+    add, sub, mul, full = R.add, R.sub, R.mul, hit[R.zero]
+    masks: dict[tuple[int, int], int] = {}  # (A, B) -> its mask, once met
+    for u in range(start, R.order):
+        for v in range(start, u + 1):
+            key = ids[sub(u, v)], ids[s := add(u, v)]
+            bad = masks.get(key)
+            if bad is None:
+                a, b = reps[key[0]], reps[key[1]]
+                bad = hit[mul(a, b)] & full & ~hit[a]
+                if bad:
+                    if b not in unreached:
+                        unreached[b] = _unreached(R, hit, b, powers)
+                    bad &= unreached[b]
+                masks[key] = bad
+            if bad and ann is not None:
+                bad &= ~(ann[u] | ann[v])
             if bad:
-                return (u, v, _first_bit(bad), _orbit_len(R, s)), (u * (u + 1) // 2 + v + 1) * width
-    raise AssertionError("an occurring failing class pair comes from some pair")
+                i = u - start
+                k = _orbit_len(R, s) if powers else 1
+                return (u, v, _first_bit(bad), k), (i * (i + 1) // 2 + v - start + 1) * width
+    t = R.order - start
+    return None, t * (t + 1) // 2 * width
+
+
+def _square_difference(R, hit, width: int, start: int = 0, ann_of=None, powers: bool = True):
+    """gsdf's condition, or sdf's without ``powers``, on the hit rows: the
+    occurring class pairs are tested, and the pairs are walked only when
+    one fails.  With ``ann_of``, a module, the walk counts only the x
+    outside Ann(u) and Ann(v), reading its annihilator rows, which are
+    built only then."""
+    unreached: dict[int, int] = {}  # shared by the class test and the walk
+    if _class_failures(R, hit, unreached, R.unit_classes()[2], powers) is None:
+        t = R.order - start
+        return None, t * (t + 1) // 2 * width
+    ann = None if ann_of is None else ann_of.scalar_hit_masks(1 << ann_of.zero)
+    return _walk(R, hit, width, unreached, start, ann, powers)
 
 
 def _colon_scan(N: Submodule, hit, of_radical: bool):
@@ -313,34 +259,22 @@ def is_gsdf_absorbing(N: Submodule) -> PropertyReport:
     pair."""
     N.require_proper()
     M = N.module
-    R = M.ring
-    hit = M.scalar_hit_masks(N.mask)
-    ids, _, meets = R.unit_classes()
-    failures = _class_failures(R, hit, meets)
-    if not failures:
-        n = R.order
-        return _report("gsdf", None, n * (n + 1) // 2 * M.order, R)
-    found, checked = _gsdf_walk(R, ids, failures, M.order)
-    return _report("gsdf", found, checked, R, M)
+    found, checked = _square_difference(M.ring, M.scalar_hit_masks(N.mask), M.order)
+    return _report("gsdf", found, checked, M.ring, M)
 
 
 def is_sdf_absorbing(N: Submodule) -> PropertyReport:
     """For u, v outside Ann(x): (u^2 - v^2).x in N implies (u - v).x in N or
     (u + v).x in N.
 
-    N holds, with ``checked_count`` the whole u >= v half, when no class pair
-    that occurs as ([u - v], [u + v]) fails ``hit[ds] & ~hit[d] &
-    ~hit[s]``; otherwise the pairs are walked by ``_sd_scan``."""
+    Decided as gsdf is, with hit[u + v] for reach(u + v); the walk keeps
+    only the x outside Ann(u) and Ann(v), whose rows are built only when it
+    runs."""
     N.require_proper()
     M = N.module
-    R = M.ring
-    hit = M.scalar_hit_masks(N.mask)
-    if not _class_failures(R, hit, R.unit_classes()[2], first=True, powers=False):
-        n = R.order
-        return _report("sdf", None, n * (n + 1) // 2 * M.order, R)
-    ann = M.scalar_hit_masks(1 << M.zero)  # ann[t] = {x : t.x = 0}
-    found, checked = _sd_scan(R, hit, M.order, ann=ann)
-    return _report("sdf", found, checked, R, M)
+    found, checked = _square_difference(M.ring, M.scalar_hit_masks(N.mask), M.order, ann_of=M,
+                                        powers=False)
+    return _report("sdf", found, checked, M.ring, M)
 
 
 def is_classical_primary(N: Submodule) -> PropertyReport:
@@ -349,18 +283,16 @@ def is_classical_primary(N: Submodule) -> PropertyReport:
     The scan order is u, then v, over the whole square.  The first failure
     is the least failing class pair (A, B), at their representatives, as
     each class's representative is its least member, and ``checked_count``
-    is its position, (u |R| + v + 1) |M|.  The class pairs are tested in
-    ascending order up to the first one that fails."""
+    is its position, (u |R| + v + 1) |M|."""
     N.require_proper()
     M = N.module
     R = M.ring
-    hit = M.scalar_hit_masks(N.mask)
-    reps = R.unit_classes()[1]
     n = R.order
-    failures = _class_failures(R, hit, first=True)
-    if not failures:
+    failure = _class_failures(R, M.scalar_hit_masks(N.mask), {})
+    if failure is None:
         return _report("cprimary", None, n * n * M.order, R)
-    (A, B), bad = failures.popitem()
+    (A, B), bad = failure
+    reps = R.unit_classes()[1]
     u, v = reps[A], reps[B]
     found = (u, v, _first_bit(bad), _orbit_len(R, v))
     return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
@@ -388,9 +320,7 @@ def is_sdf_absorbing_ideal(I: Submodule) -> PropertyReport:
     This is the sdf condition at x = 1, where Ann(1) = (0)."""
     R = _require_ideal(I)
     I.require_proper()
-    ann = _bit_rows(1 << R.zero, R.order)
-    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=1, ann=ann,
-                              coset=coset_ids(R, I.indices))
+    found, checked = _square_difference(R, _bit_rows(I.mask, R.order), 1, start=1, powers=False)
     return _report("sdfideal", found, checked, R)
 
 
@@ -401,8 +331,7 @@ def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> Propert
     restricts the hypothesis to nonzero u, v."""
     R = _require_ideal(I)
     I.require_proper()
-    found, checked = _sd_scan(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only),
-                              coset=coset_ids(R, I.indices))
+    found, checked = _square_difference(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only))
     return _report("sdfprimary", found, checked, R)
 
 
@@ -486,7 +415,7 @@ class RingSubset:
 
     def __init__(self, ring, indices):
         self.ring = ring
-        self.indices = tuple(sorted(set(indices)))
+        self.indices = tuple(sorted({element_index(ring, i) for i in indices}))
         self.mask = mask_of(self.indices)
 
     @property
@@ -502,13 +431,35 @@ class RingSubset:
 
 
 def setwise_sdf_primary(S: RingSubset, *, nonzero_only: bool = False) -> PropertyReport:
-    """The sdf-primary condition evaluated on a bare subset of R.  When S is
-    an additive subgroup (every ideal, and every I x N in an idealization),
-    the scan is bucketed by the cosets of S."""
+    """The sdf-primary condition evaluated on a bare subset S of R.  S need
+    not be closed under units, so its element pairs u >= v are walked, u
+    ascending and v up to u.  When S is an additive subgroup (every ideal,
+    and every I x N in an idealization), u^2 - v^2 lies in S exactly when
+    u^2 and v^2 lie in the same coset of S, so v walks only the bucket of
+    elements whose square shares u^2's coset: every pair it skips fails the
+    hypothesis, and the first failure is the same."""
     if not S.is_proper:
         raise NotProperError("subset equals the whole ring")
-    R = S.ring
+    R, mask, start = S.ring, S.mask, int(nonzero_only)
+    add, sub, mul = R.add, R.sub, R.mul
+    sq = [mul(v, v) for v in range(R.order)]
     coset = coset_ids(R, S.indices) if _is_additive_subgroup(S) else None
-    found, checked = _sd_scan(R, _bit_rows(S.mask, R.order), 1, start=int(nonzero_only),
-                              coset=coset)
-    return _report("sdfprimary", found, checked, R)
+    buckets: dict[int, list[int]] = {}
+    reached: dict[int, bool] = {}  # s -> some power of s lies in S
+    for u in range(start, R.order):
+        if coset is None:
+            vs = [v for v in range(start, u + 1) if mask >> sub(sq[u], sq[v]) & 1]
+        else:
+            vs = buckets.setdefault(coset[sq[u]], [])
+            vs.append(u)
+        for v in vs:
+            if not mask >> sub(u, v) & 1:
+                s = add(u, v)
+                if s not in reached:
+                    reached[s] = any(mask >> p & 1 for p in R.power_orbit_raw(s)[2])
+                if not reached[s]:
+                    i = u - start
+                    found = (u, v, None, _orbit_len(R, s))
+                    return _report("sdfprimary", found, i * (i + 1) // 2 + v - start + 1, R)
+    t = R.order - start
+    return _report("sdfprimary", None, t * (t + 1) // 2, R)

@@ -3,11 +3,13 @@ optimized predicate scanners.  These are written as direct triple loops over
 the definitions, with the power exponent k swept up to |R|, and share no code
 with the scanners under test.
 
-The walk oracles (``WALK_ORACLES``) are the element-pair scans the class
-kernel of ``absorb.predicates`` replaced, and for sdf the scan its class
-test skips when it holds: whole reports, witness and ``checked_count``
-included, from the same hit rows, to compare with the class kernel's field
-by field.
+The walk oracles (``WALK_ORACLES`` for the module properties,
+``IDEAL_WALK_ORACLES`` for the ideal-level ones) are the element-pair scans
+that the class kernel of ``absorb.predicates`` replaced: plain u/v loops
+over hit rows and element operations, in each property's scan order.  They
+give whole reports, witness and ``checked_count`` included, to compare with
+the library's field by field; they share with it only ``_report``, which
+formats a report.
 
 ``naive_span`` is the breadth-first closure that the library's spans,
 generator lists and sums, all coset joins of cyclic submodules, replaced.
@@ -18,19 +20,11 @@ library construction runs them: each checks only its own side condition,
 and the tests run the kernels on what the library builds."""
 from __future__ import annotations
 
-from functools import partial
 from math import gcd
 
 from absorb.errors import InvalidConstructionError
 from absorb.modules import Submodule, indices_of, mask_of, radical
-from absorb.predicates import (
-    _OpRow,
-    _first_bit,
-    _orbit_len,
-    _power_reach_mask,
-    _report,
-    _sd_scan,
-)
+from absorb.predicates import _report
 from absorb.suites import factorize
 
 # the five wide modules of the benchmark's sweep
@@ -512,19 +506,70 @@ NAIVE_ORACLES = {
 }
 
 
+def _walk_square_difference(prop, R, hit, width, start=0, ann=None, powers=True, M=None):
+    """The square-difference condition by element operations over every pair
+    u >= v >= start, u ascending and v up to u, x innermost: (u^2 - v^2).x
+    in N implies (u - v).x in N or (u + v)^k.x in N for some k >= 1, or with
+    ``powers=False`` (u + v).x in N; with ``ann``, only the x outside
+    ``ann[u] | ann[v]`` count.  The whole report, witness and
+    ``checked_count`` included."""
+    reach: dict[int, int] = {}  # s -> the x that some power of s (or s) sends into N
+
+    def powers_of(s):
+        return R.power_orbit_raw(s)[2] if powers else (s,)
+
+    for u in range(start, R.order):
+        for v in range(start, u + 1):
+            d, s = R.sub(u, v), R.add(u, v)
+            bad = hit[R.mul(d, s)] & ~hit[d]  # (u - v)(u + v) = u^2 - v^2
+            if ann is not None:
+                bad &= ~(ann[u] | ann[v])
+            if bad:
+                if s not in reach:
+                    reach[s] = 0
+                    for p in powers_of(s):
+                        reach[s] |= hit[p]
+                bad &= ~reach[s]
+            if bad:
+                i = u - start
+                found = (u, v, (bad & -bad).bit_length() - 1, len(powers_of(s)))
+                return _report(prop, found, (i * (i + 1) // 2 + v - start + 1) * width, R, M)
+    t = R.order - start
+    return _report(prop, None, t * (t + 1) // 2 * width, R)
+
+
 def walk_gsdf(N):
-    """gsdf by the square-difference scan of every pair u >= v."""
+    """gsdf by the square-difference walk of every pair u >= v."""
     M = N.module
-    found, checked = _sd_scan(M.ring, M.scalar_hit_masks(N.mask), M.order)
-    return _report("gsdf", found, checked, M.ring, M)
+    hit = M.scalar_hit_masks(N.mask)
+    return _walk_square_difference("gsdf", M.ring, hit, M.order, M=M)
 
 
 def walk_sdf(N):
-    """sdf by the square-difference scan of every pair u >= v."""
+    """sdf by the square-difference walk of every pair u >= v, x outside
+    Ann(u) and Ann(v)."""
     M = N.module
     hit, ann = M.scalar_hit_masks(N.mask), M.scalar_hit_masks(1 << M.zero)
-    found, checked = _sd_scan(M.ring, hit, M.order, ann=ann)
-    return _report("sdf", found, checked, M.ring, M)
+    return _walk_square_difference("sdf", M.ring, hit, M.order, ann=ann, powers=False, M=M)
+
+
+def _bits(S, R) -> list[int]:
+    """One-bit hit rows: entry t is 1 when t is in S."""
+    return [S.mask >> t & 1 for t in range(R.order)]
+
+
+def walk_sdf_ideal(I):
+    """The sdf-absorbing ideal condition by the walk of every pair u >= v of
+    nonzero elements."""
+    R = I.module.ring
+    return _walk_square_difference("sdfideal", R, _bits(I, R), 1, start=1, powers=False)
+
+
+def walk_sdf_primary(I, nonzero_only: bool = False):
+    """The sdf-primary condition by the walk of every pair u >= v, nonzero
+    with ``nonzero_only``.  I is an ideal or a bare ``RingSubset``."""
+    R = I.ring if hasattr(I, "ring") else I.module.ring
+    return _walk_square_difference("sdfprimary", R, _bits(I, R), 1, start=int(nonzero_only))
 
 
 def walk_cprimary(N):
@@ -534,16 +579,18 @@ def walk_cprimary(N):
     R = M.ring
     hit = M.scalar_hit_masks(N.mask)
     n = R.order
-    mul_row = R.mul_t.__getitem__ if R.mul_t is not None else partial(_OpRow, R.mul)
-    reach_cache: dict[int, int] = {}
+    reach: dict[int, int] = {}  # v -> the x that some power of v sends into N
     for u in range(n):
-        m, outside = mul_row(u), ~hit[u]
-        for v, bad in [(v, b) for v in range(n) if (b := hit[m[v]] & outside)]:
-            if v not in reach_cache:
-                reach_cache[v] = _power_reach_mask(R, hit, v)
-            bad &= ~reach_cache[v]
+        for v in range(n):
+            bad = hit[R.mul(u, v)] & ~hit[u]
             if bad:
-                found = (u, v, _first_bit(bad), _orbit_len(R, v))
+                if v not in reach:
+                    reach[v] = 0
+                    for p in R.power_orbit_raw(v)[2]:
+                        reach[v] |= hit[p]
+                bad &= ~reach[v]
+            if bad:
+                found = (u, v, (bad & -bad).bit_length() - 1, len(R.power_orbit_raw(v)[2]))
                 return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
     return _report("cprimary", None, n * n * M.order, R)
 
@@ -562,7 +609,8 @@ def _walk_colon(prop, N, hit, skip):
     for u in range(M.ring.order):
         bad = hit[u] & outside
         if bad and not skip >> u & 1:
-            return _report(prop, (u, None, _first_bit(bad), None), (u + 1) * M.order, M.ring, M)
+            found = (u, None, (bad & -bad).bit_length() - 1, None)
+            return _report(prop, found, (u + 1) * M.order, M.ring, M)
     return _report(prop, None, M.ring.order * M.order, M.ring)
 
 
@@ -584,4 +632,9 @@ WALK_ORACLES = {
     "cprimary": walk_cprimary,
     "prime": walk_prime,
     "primary": walk_primary,
+}
+
+IDEAL_WALK_ORACLES = {
+    "sdfideal": walk_sdf_ideal,
+    "sdfprimary": walk_sdf_primary,
 }

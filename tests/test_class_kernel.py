@@ -1,14 +1,27 @@
-"""The associate-class kernel of gsdf, classical primary, prime and primary:
-its unit classes against the naive associate relation, its reports against
-the element-pair walks it replaced, and how many pairs it walks."""
+"""The associate-class kernel of all seven properties: its unit classes
+against the naive associate relation, its reports against the element-pair
+walks it replaced, and how many pairs it walks."""
 import pytest
-from conftest import SWEEP_WIDE, WALK_ORACLES
+from conftest import (
+    IDEAL_WALK_ORACLES,
+    SWEEP_WIDE,
+    WALK_ORACLES,
+    naive_sdf_ideal,
+    naive_sdf_primary_ideal,
+)
 
 from absorb import predicates
 from absorb.lattice import all_submodules
 from absorb.modules import span, zero_submodule
-from absorb.predicates import check_property, is_gsdf_absorbing
-from absorb.rings import make_zmod, units
+from absorb.predicates import (
+    RingSubset,
+    check_property,
+    is_gsdf_absorbing,
+    is_sdf_absorbing_ideal,
+    is_sdf_primary_ideal,
+    setwise_sdf_primary,
+)
+from absorb.rings import IdealizationRing, ProductRing, make_zmod, units
 from absorb.specdsl import elaborate_module, parse_module_spec
 from absorb.suites import default_family
 
@@ -150,27 +163,84 @@ def test_class_rows_stop_at_the_witness_on_a_ring_with_one_unit(monkeypatch):
     assert holds == 63
 
 
+def _spy_walks(monkeypatch):
+    """Record each call of the pair walk."""
+    walks = []
+    walk = predicates._walk
+    monkeypatch.setattr(predicates, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    return walks
+
+
 def test_sdf_scans_only_when_an_occurring_class_pair_fails(monkeypatch):
-    # a negative verdict always comes from the element-pair scan; every
-    # submodule of (Z6)^3 is sdf, each decided by its class pairs alone
-    scans = []
-    scan = predicates._sd_scan
-    monkeypatch.setattr(predicates, "_sd_scan", lambda *a, **k: scans.append(a) or scan(*a, **k))
+    # a negative verdict always comes from the pair walk; every submodule of
+    # (Z6)^3 is sdf, each decided by its class pairs alone
+    walks = _spy_walks(monkeypatch)
     wide = elaborate_module(parse_module_spec(SWEEP_WIDE[0])).signature
     held = skipped = 0
     for M in _modules():
         n = M.ring.order
         for N in all_submodules(M).proper:
-            scans.clear()
+            walks.clear()
             rep = check_property("sdf", N)
-            assert len(scans) == 1 or rep.holds and not scans, (M.name, N.indices)
+            assert len(walks) == 1 or rep.holds and not walks, (M.name, N.indices)
             if rep.holds:
                 held += 1
-                skipped += not scans
+                skipped += not walks
                 assert rep.checked_count == n * (n + 1) // 2 * M.order
             if M.signature == wide:
-                assert rep.holds and not scans, N.indices
+                assert rep.holds and not walks, N.indices
     assert held > skipped > 1000
+
+
+def test_two_in_z4096_holds_with_no_pair_walked(monkeypatch):
+    R = make_zmod(4096)
+    I = span(R.as_module, [2])
+    walks = _spy_walks(monkeypatch)
+    walked = _spy_pairs(monkeypatch, R)
+    for prop in ("sdfprimary", "sdfideal"):
+        rep = check_property(prop, I)
+        t = 4096 - (prop == "sdfideal")
+        assert rep.holds and rep.checked_count == t * (t + 1) // 2, prop
+    assert walks == [] and walked == []
+
+
+def _ideal_rings():
+    """Z_n for n <= 160, nine products, eight idealizations and the rings of
+    ``default_family()``, once each."""
+    rings = [make_zmod(n) for n in range(2, 161)]
+    for a, b in ((2, 2), (2, 3), (2, 4), (3, 3), (4, 4), (2, 6), (4, 6), (6, 6), (3, 9)):
+        rings.append(ProductRing(make_zmod(a), make_zmod(b)))
+    for n in (2, 3, 4, 5, 6, 8, 9, 12):
+        R = make_zmod(n)
+        rings.append(IdealizationRing(R, R.as_module))
+    rings += [M.ring for M in default_family()]
+    return list({R.signature: R for R in rings}.values())
+
+
+def test_ideal_reports_equal_the_element_pair_walks():
+    """The three ideal-level checks on every proper ideal, field by field
+    against the walk oracles, their verdicts against the naive oracles on the
+    default family's rings, and the set-wise check on the same carrier
+    against the ideal check."""
+    walk_ideal, walk_primary = IDEAL_WALK_ORACLES["sdfideal"], IDEAL_WALK_ORACLES["sdfprimary"]
+    family = {M.ring.signature for M in default_family()}
+    checked = failed = 0
+    for R in _ideal_rings():
+        naive = R.signature in family  # the naive oracles sweep k up to |R|
+        for I in all_submodules(R.as_module).proper:
+            rep = is_sdf_absorbing_ideal(I)
+            assert rep == walk_ideal(I), (R.name, I.indices)
+            assert not naive or rep.holds == naive_sdf_ideal(I), (R.name, I.indices)
+            for nonzero_only in (False, True):
+                rep = is_sdf_primary_ideal(I, nonzero_only=nonzero_only)
+                assert rep == walk_primary(I, nonzero_only), (R.name, I.indices, nonzero_only)
+                assert not naive or rep.holds == naive_sdf_primary_ideal(I, nonzero_only), (
+                    R.name, I.indices, nonzero_only)
+                bare = setwise_sdf_primary(RingSubset(R, I.indices), nonzero_only=nonzero_only)
+                assert bare == rep, (R.name, I.indices, nonzero_only)
+                failed += not rep.holds
+            checked += 1
+    assert checked > 800 and failed > 300
 
 
 def test_classical_primary_implies_gsdf_and_equals_it_when_two_is_a_unit():

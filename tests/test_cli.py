@@ -88,6 +88,23 @@ def test_a_malformed_bound_exits_2_naming_its_variable(variable, argv):
         assert out.stderr == f"error: {variable}={value!r} is not a non-negative integer\n"
 
 
+@pytest.mark.parametrize("prop", ["sdfprimary", "sdfideal"])
+def test_an_ideal_check_on_z30000_is_decided_by_its_class_pairs(prop):
+    """(2) in Z_30000 holds, decided by its 50 associate classes: a walk of
+    its u >= v pairs would make some 10^8 ring operations."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["check", "--ring", "Zn(30000)", "--sub", "gen[2]", "--prop", prop, "--format", "json"]
+    started = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "absorb.cli", *argv], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert time.monotonic() - started < 5
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    t = 30000 - (prop == "sdfideal")
+    assert doc["holds"] is True and doc["checked_count"] == t * (t + 1) // 2
+
+
 def test_check_usage_error_exit_2(capsys):
     code, _, _ = run_cli(capsys, "check", "--sub", "full")
     assert code == 2  # missing --prop (argparse usage error)

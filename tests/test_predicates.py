@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorb.errors import NotProperError
+from absorb.errors import InvalidConstructionError, NotProperError
 from absorb.lattice import all_submodules
 from absorb.modules import CyclicModule, ProductModule, m_radical, span, zero_submodule
 from absorb.predicates import (
@@ -146,6 +146,12 @@ def test_setwise_on_non_ideal_subset():
     R = make_zmod(6)
     S = RingSubset(R, [0, 1])  # contains 1, not an ideal
     assert not is_closed_ideal(S)
+
+
+@pytest.mark.parametrize("indices", [[0, 3, 7], [0, -1], [6], [2, 10**9]])
+def test_ring_subset_refuses_an_index_outside_the_ring(indices):
+    with pytest.raises(InvalidConstructionError, match="is not an element of Z6"):
+        RingSubset(make_zmod(6), indices)
 
 
 @given(st.integers(min_value=2, max_value=30), st.data())
