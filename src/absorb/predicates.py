@@ -26,11 +26,12 @@ whose representative is its least member.
   occurs as ([u - v], [u + v]) exactly when A and B meet a common coset of
   2R: s - d = 2v is solved by u = d + v, and -1 is a unit, so the u >= v
   half reaches every such pair.  The occurring class pairs are tested
-  first, and the property holds when none fails; otherwise ``_walk`` steps
-  through the pairs u >= v, u ascending and v up to u, to the first one
-  whose class pair fails, computing each class pair's mask when it first
-  meets it.  The hypothesis is symmetric in (u, v), so the u >= v half is
-  the whole order.  When u and v range over nonzero elements only
+  first, and the property holds when none fails.  Otherwise gsdf and sdf
+  step through the pairs u >= v, u ascending and v up to u, to the first
+  one whose class pair fails (``_walk``), computing each class pair's mask
+  when they first meet it; the ideal conditions walk their element pairs
+  (``_pair_walk``).  The hypothesis is symmetric in (u, v), so the u >= v
+  half is the whole order.  When u and v range over nonzero elements only
   (sdf-absorbing ideals, ``nonzero_only``), the pairs are fewer, so a class
   test that finds no failure still decides the property; the walk may then
   find none either.
@@ -39,8 +40,10 @@ whose representative is its least member.
   ideal and its radical are unions of classes.
 
 A bare subset of R (``RingSubset``) is not closed under units, so the
-set-wise sdf-primary condition walks its element pairs
-(``setwise_sdf_primary``).
+set-wise sdf-primary condition walks its element pairs with no class test
+(``setwise_sdf_primary``).  An ideal, and each I x N of an idealization,
+is an additive subgroup, so its element-pair walk pairs u only with the v
+whose square lies in u^2's coset.
 
 ``checked_count`` is the witness's position in its property's scan order,
 a closed form, or the whole order when the property holds.
@@ -115,22 +118,10 @@ def _report(prop: str, found, checked: int, R, M: FiniteModule | None = None) ->
     return PropertyReport(prop, False, Witness(u, v or 0, x, k, text), checked)
 
 
-def _bit_rows(mask: int, n: int) -> list[int]:
-    """Hit rows at x = 1: ``rows[t]`` is 1 when t is in the subset."""
-    return [mask >> t & 1 for t in range(n)]
-
-
-def _power_reach_mask(R, hit, t: int) -> int:
-    """Mask of x such that t^k . x lands in N for some k >= 1."""
-    reach = 0
-    for p in R.power_orbit_raw(t)[2]:
-        reach |= hit[p]
-    return reach
-
-
-def _orbit_len(R, t: int) -> int:
-    pre, per, _ = R.power_orbit_raw(t)
-    return pre + per - 1
+def _powers(R, t: int, powers: bool = True) -> tuple[int, ...]:
+    """The distinct powers t^1, ..., t^k of t's power orbit, k being the
+    witness's power bound, or t alone without ``powers``."""
+    return R.power_orbit_raw(t)[2] if powers else (t,)
 
 
 def _first_bit(mask: int) -> int:
@@ -149,7 +140,10 @@ def _unreached(R, hit, b: int, powers: bool = True) -> int:
     """The x in hit[0] that no power of b sends into N (0.x = 0 lies in N),
     or with ``powers=False`` that b itself does not: the last factor of a
     class pair's failure mask."""
-    return hit[R.zero] & ~(_power_reach_mask(R, hit, b) if powers else hit[b])
+    reach = 0
+    for p in _powers(R, b, powers):
+        reach |= hit[p]
+    return hit[R.zero] & ~reach
 
 
 def _class_failures(R, hit, unreached: dict, meets=None, powers: bool = True):
@@ -185,19 +179,18 @@ def _class_failures(R, hit, unreached: dict, meets=None, powers: bool = True):
     return None
 
 
-def _walk(R, hit, width: int, unreached: dict, start: int = 0, ann=None, powers: bool = True):
-    """The first pair u >= v >= start, u ascending and v up to u, whose class
-    pair ([u - v], [u + v]) fails, as (u, v, x, k_bound); with ``ann``, only
-    the x outside ``ann[u] | ann[v]`` count.  Each class pair's mask is the
-    one ``_class_failures`` tests, computed the first time the walk meets
-    the pair.  Returns the pair, or None, with its position in that order
-    times ``width``, or the whole T(T + 1)/2 pairs, T = |R| - start, when
-    none fails."""
+def _walk(R, hit, width: int, unreached: dict, ann=None, powers: bool = True):
+    """The first pair u >= v, u ascending and v up to u, whose class pair
+    ([u - v], [u + v]) fails, as (u, v, x, k_bound); with ``ann``, only the
+    x outside ``ann[u] | ann[v]`` count.  Each class pair's mask is the one
+    ``_class_failures`` tests, computed the first time the walk meets the
+    pair.  Returns the pair, or None, with its position in that order times
+    ``width``, or the whole n(n + 1)/2 pairs, n = |R|, when none fails."""
     ids, reps, _ = R.unit_classes()
     add, sub, mul, full = R.add, R.sub, R.mul, hit[R.zero]
     masks: dict[tuple[int, int], int] = {}  # (A, B) -> its mask, once met
-    for u in range(start, R.order):
-        for v in range(start, u + 1):
+    for u in range(R.order):
+        for v in range(u + 1):
             key = ids[sub(u, v)], ids[s := add(u, v)]
             bad = masks.get(key)
             if bad is None:
@@ -211,14 +204,12 @@ def _walk(R, hit, width: int, unreached: dict, start: int = 0, ann=None, powers:
             if bad and ann is not None:
                 bad &= ~(ann[u] | ann[v])
             if bad:
-                i = u - start
-                k = _orbit_len(R, s) if powers else 1
-                return (u, v, _first_bit(bad), k), (i * (i + 1) // 2 + v - start + 1) * width
-    t = R.order - start
-    return None, t * (t + 1) // 2 * width
+                found = (u, v, _first_bit(bad), len(_powers(R, s, powers)))
+                return found, (u * (u + 1) // 2 + v + 1) * width
+    return None, R.order * (R.order + 1) // 2 * width
 
 
-def _square_difference(R, hit, width: int, start: int = 0, ann_of=None, powers: bool = True):
+def _square_difference(R, hit, width: int, ann_of=None, powers: bool = True):
     """gsdf's condition, or sdf's without ``powers``, on the hit rows: the
     occurring class pairs are tested, and the pairs are walked only when
     one fails.  With ``ann_of``, a module, the walk counts only the x
@@ -226,10 +217,39 @@ def _square_difference(R, hit, width: int, start: int = 0, ann_of=None, powers: 
     built only then."""
     unreached: dict[int, int] = {}  # shared by the class test and the walk
     if _class_failures(R, hit, unreached, R.unit_classes()[2], powers) is None:
-        t = R.order - start
-        return None, t * (t + 1) // 2 * width
+        return None, R.order * (R.order + 1) // 2 * width
     ann = None if ann_of is None else ann_of.scalar_hit_masks(1 << ann_of.zero)
-    return _walk(R, hit, width, unreached, start, ann, powers)
+    return _walk(R, hit, width, unreached, ann, powers)
+
+
+def _pair_walk(prop: str, R, mask: int, start: int, powers: bool, coset) -> PropertyReport:
+    """The square-difference condition on the subset S = ``mask`` of R by
+    its element pairs u >= v >= start, u ascending and v up to u: u^2 - v^2
+    in S implies u - v in S or (u + v)^k in S (k = 1 without ``powers``).
+    With ``coset``, the coset ranks of S when S is an additive subgroup, v
+    walks only the bucket of the elements whose square shares u^2's coset,
+    the only v with u^2 - v^2 in S, so the first failure is the same."""
+    add, sub, mul = R.add, R.sub, R.mul
+    sq = [mul(v, v) for v in range(R.order)]
+    buckets: dict[int, list[int]] = {}
+    reached: dict[int, bool] = {}  # s -> s, or some power of s, lies in S
+    for u in range(start, R.order):
+        if coset is None:
+            vs = [v for v in range(start, u + 1) if mask >> sub(sq[u], sq[v]) & 1]
+        else:
+            vs = buckets.setdefault(coset[sq[u]], [])
+            vs.append(u)
+        for v in vs:
+            if not mask >> sub(u, v) & 1:
+                s = add(u, v)
+                if s not in reached:
+                    reached[s] = any(mask >> p & 1 for p in _powers(R, s, powers))
+                if not reached[s]:
+                    i = u - start
+                    found = (u, v, None, len(_powers(R, s, powers)))
+                    return _report(prop, found, i * (i + 1) // 2 + v - start + 1, R)
+    t = R.order - start
+    return _report(prop, None, t * (t + 1) // 2, R)
 
 
 def _colon_scan(N: Submodule, hit, of_radical: bool):
@@ -294,7 +314,7 @@ def is_classical_primary(N: Submodule) -> PropertyReport:
     (A, B), bad = failure
     reps = R.unit_classes()[1]
     u, v = reps[A], reps[B]
-    found = (u, v, _first_bit(bad), _orbit_len(R, v))
+    found = (u, v, _first_bit(bad), len(_powers(R, v)))
     return _report("cprimary", found, (u * n + v + 1) * M.order, R, M)
 
 
@@ -314,14 +334,24 @@ def is_prime_submodule(N: Submodule) -> PropertyReport:
     return _report("prime", found, checked, M.ring, M)
 
 
+def _ideal_square_difference(prop: str, I: Submodule, start: int, powers: bool) -> PropertyReport:
+    """An ideal-level square-difference check: the occurring class pairs of
+    the one-bit rows are tested, and only when one fails are the element
+    pairs walked, bucketed by the cosets of I."""
+    R = _require_ideal(I)
+    I.require_proper()
+    rows = [I.mask >> t & 1 for t in range(R.order)]  # hit rows at x = 1
+    if _class_failures(R, rows, {}, R.unit_classes()[2], powers) is None:
+        t = R.order - start
+        return _report(prop, None, t * (t + 1) // 2, R)
+    return _pair_walk(prop, R, I.mask, start, powers, coset_ids(R, I.indices))
+
+
 def is_sdf_absorbing_ideal(I: Submodule) -> PropertyReport:
     """For nonzero u, v: u^2 - v^2 in I implies u + v in I or u - v in I.
 
     This is the sdf condition at x = 1, where Ann(1) = (0)."""
-    R = _require_ideal(I)
-    I.require_proper()
-    found, checked = _square_difference(R, _bit_rows(I.mask, R.order), 1, start=1, powers=False)
-    return _report("sdfideal", found, checked, R)
+    return _ideal_square_difference("sdfideal", I, 1, powers=False)
 
 
 def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> PropertyReport:
@@ -329,10 +359,7 @@ def is_sdf_primary_ideal(I: Submodule, *, nonzero_only: bool = False) -> Propert
 
     By default u and v range over the whole ring; ``nonzero_only=True``
     restricts the hypothesis to nonzero u, v."""
-    R = _require_ideal(I)
-    I.require_proper()
-    found, checked = _square_difference(R, _bit_rows(I.mask, R.order), 1, start=int(nonzero_only))
-    return _report("sdfprimary", found, checked, R)
+    return _ideal_square_difference("sdfprimary", I, int(nonzero_only), powers=True)
 
 
 PROPERTY_CHECKS = {
@@ -432,34 +459,10 @@ class RingSubset:
 
 def setwise_sdf_primary(S: RingSubset, *, nonzero_only: bool = False) -> PropertyReport:
     """The sdf-primary condition evaluated on a bare subset S of R.  S need
-    not be closed under units, so its element pairs u >= v are walked, u
-    ascending and v up to u.  When S is an additive subgroup (every ideal,
-    and every I x N in an idealization), u^2 - v^2 lies in S exactly when
-    u^2 and v^2 lie in the same coset of S, so v walks only the bucket of
-    elements whose square shares u^2's coset: every pair it skips fails the
-    hypothesis, and the first failure is the same."""
+    not be closed under units, so its element pairs are walked, bucketed
+    when S is an additive subgroup (every ideal, and every I x N in an
+    idealization)."""
     if not S.is_proper:
         raise NotProperError("subset equals the whole ring")
-    R, mask, start = S.ring, S.mask, int(nonzero_only)
-    add, sub, mul = R.add, R.sub, R.mul
-    sq = [mul(v, v) for v in range(R.order)]
-    coset = coset_ids(R, S.indices) if _is_additive_subgroup(S) else None
-    buckets: dict[int, list[int]] = {}
-    reached: dict[int, bool] = {}  # s -> some power of s lies in S
-    for u in range(start, R.order):
-        if coset is None:
-            vs = [v for v in range(start, u + 1) if mask >> sub(sq[u], sq[v]) & 1]
-        else:
-            vs = buckets.setdefault(coset[sq[u]], [])
-            vs.append(u)
-        for v in vs:
-            if not mask >> sub(u, v) & 1:
-                s = add(u, v)
-                if s not in reached:
-                    reached[s] = any(mask >> p & 1 for p in R.power_orbit_raw(s)[2])
-                if not reached[s]:
-                    i = u - start
-                    found = (u, v, None, _orbit_len(R, s))
-                    return _report("sdfprimary", found, i * (i + 1) // 2 + v - start + 1, R)
-    t = R.order - start
-    return _report("sdfprimary", None, t * (t + 1) // 2, R)
+    coset = coset_ids(S.ring, S.indices) if _is_additive_subgroup(S) else None
+    return _pair_walk("sdfprimary", S.ring, S.mask, int(nonzero_only), True, coset)

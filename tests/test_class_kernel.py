@@ -163,11 +163,12 @@ def test_class_rows_stop_at_the_witness_on_a_ring_with_one_unit(monkeypatch):
     assert holds == 63
 
 
-def _spy_walks(monkeypatch):
-    """Record each call of the pair walk."""
+def _spy_walks(monkeypatch, name="_walk"):
+    """Record each call of a pair walk: the class-pair walk of gsdf and sdf,
+    or the element-pair walk ``_pair_walk``."""
     walks = []
-    walk = predicates._walk
-    monkeypatch.setattr(predicates, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    walk = getattr(predicates, name)
+    monkeypatch.setattr(predicates, name, lambda *a, **k: walks.append(a) or walk(*a, **k))
     return walks
 
 
@@ -195,7 +196,7 @@ def test_sdf_scans_only_when_an_occurring_class_pair_fails(monkeypatch):
 def test_two_in_z4096_holds_with_no_pair_walked(monkeypatch):
     R = make_zmod(4096)
     I = span(R.as_module, [2])
-    walks = _spy_walks(monkeypatch)
+    walks = _spy_walks(monkeypatch, "_pair_walk")
     walked = _spy_pairs(monkeypatch, R)
     for prop in ("sdfprimary", "sdfideal"):
         rep = check_property(prop, I)

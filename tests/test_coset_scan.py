@@ -1,14 +1,20 @@
-"""The coset buckets of the set-wise sdf-primary walk: which subsets are
-found to be additive subgroups, the bucketed walk against the unbucketed
-one field by field, and the pairs a bucketed walk tests, counted rather
-than timed."""
+"""The coset buckets of the element-pair walk, which decides the set-wise
+sdf-primary condition and the failing ideal checks: which subsets are found
+to be additive subgroups, the bucketed walk against the unbucketed one
+field by field, and the pairs a bucketed walk tests, counted rather than
+timed."""
 import pytest
 
 from absorb import predicates
 from absorb.constructions import idealization_subset
 from absorb.lattice import all_submodules
 from absorb.modules import span, zero_submodule
-from absorb.predicates import RingSubset, _is_additive_subgroup, setwise_sdf_primary
+from absorb.predicates import (
+    RingSubset,
+    _is_additive_subgroup,
+    is_sdf_primary_ideal,
+    setwise_sdf_primary,
+)
 from absorb.rings import IdealizationRing, make_zmod
 from absorb.suites import idealization_family
 
@@ -83,3 +89,15 @@ def test_setwise_scan_of_2x0_in_z42_tests_few_pairs():
     assert calls < 60_000
     assert rep.holds
     assert rep.checked_count == 1764 * 1765 // 2 == 1_556_730
+
+
+def test_a_failing_ideal_check_walks_only_its_buckets(monkeypatch):
+    # (0) in Z_2500: the witness (1251, 1) is pair 783,128 of the u >= v
+    # order, and the walk reaches it through the u^2 buckets alone
+    R = make_zmod(2500)
+    calls = []
+    sub = R.sub
+    monkeypatch.setattr(R, "sub", lambda a, b: calls.append((a, b)) or sub(a, b))
+    rep = is_sdf_primary_ideal(zero_submodule(R.as_module))
+    assert rep.witness.as_tuple() == (1251, 1) and rep.checked_count == 783_128
+    assert len(calls) < 5_000
